@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph_core import GraphError, two_vertex_example
-from .dual_eval import DualPoint, evaluate_poly
+from .graph_core import GraphError, _complex_from_json, _complex_to_json, two_vertex_example
+from .dual_eval import evaluate_poly
 from .fock import HardyPoly, random_poly
-from .mobius import CentralPoint, mobius_matrix
-from .pick_kernel import StructuralError
+from .mobius import CentralPoint, _check_edge_support, _point_from_edge_support, mobius_matrix
 
 
 class BimoduleUnitary:
@@ -106,8 +105,7 @@ def unitary_from_dict(g, data):
         raise GraphError("bimodule unitary dict must have a 'blocks' entry")
     blocks = {}
     for item in items:
-        mat = np.array([[complex(p[0], p[1] if len(p) > 1 else 0.0) for p in row]
-                        for row in item["matrix"]], dtype=complex)
+        mat = _complex_from_json(item["matrix"], ndim=2)
         blocks[(item["src"], item["dst"])] = (tuple(item["edges"]), mat)
     return BimoduleUnitary(g, blocks)
 
@@ -117,7 +115,7 @@ def unitary_to_dict(u):
     for (src, dst), (edges, mat) in sorted(u.blocks.items()):
         out.append({
             "src": src, "dst": dst, "edges": list(edges),
-            "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in mat],
+            "matrix": _complex_to_json(mat),
         })
     return {"blocks": out}
 
@@ -164,15 +162,8 @@ def pullback_evaluate(gamma, u, x, point):
     if gamma is None:
         gamma = CentralPoint(g, {})
     M = mobius_matrix(gamma, point) @ u.full_matrix()
-    support = np.zeros((g.nv, g.ne), dtype=bool)
-    for i, e in enumerate(g.edges):
-        support[g.vindex[e.dst], i] = True
-    off = float(np.abs(np.where(support, 0.0, M)).max(initial=0.0))
-    if off > 1e-12 * (1.0 + float(np.abs(M).max(initial=0.0))):
-        raise StructuralError("pulled-back point leaks off the edge support by %.3e" % off)
-    weights = np.array([np.conj(M[g.vindex[e.dst], i]) for i, e in enumerate(g.edges)])
-    moved = DualPoint(g, weights, allow_boundary=point.norm >= 1.0 - 1e-12)
-    return evaluate_poly(x, moved)
+    _check_edge_support(g, M, "pulled-back point")
+    return evaluate_poly(x, _point_from_edge_support(g, M, point))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ when the requested check passes, 1 when the mathematics fails
 (infeasible data, violated relations), 2 on malformed input.  Reports
 embed the tolerances used, the worst residual observed, and a sha256 of
 every input file, and are byte-identical across runs for the same
-inputs and --seed.
+inputs; autom-demo draws its points from --seed, the only option that
+takes a seed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,14 @@ import sys
 
 import numpy as np
 
-from .graph_core import GraphError, build_graph, fullness_flags, two_vertex_example
+from .graph_core import (
+    GraphError,
+    _complex_from_json,
+    _complex_to_json,
+    build_graph,
+    fullness_flags,
+    two_vertex_example,
+)
 from .fock import cuntz_toeplitz_check, poly_from_terms
 from .dual_eval import (
     BoundaryError,
@@ -60,18 +68,6 @@ def _read_json(path):
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
     return json.loads(raw.decode("utf-8")), digest
-
-
-def _mat_json(M):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(M)]
-
-
-def _values_from_json(items):
-    out = []
-    for rows in items:
-        out.append(np.array([[complex(p[0], p[1] if len(p) > 1 else 0.0) for p in row]
-                             for row in rows], dtype=complex))
-    return out
 
 
 def _emit(report, out_path):
@@ -159,7 +155,7 @@ def cmd_eval(args):
         "inputs": inputs,
         "mode": mode,
         "point_norm": point.norm,
-        "value": _mat_json(value),
+        "value": _complex_to_json(value),
         "value_max_abs": float(np.abs(value).max(initial=0.0)),
         "passed": True,
     }
@@ -172,8 +168,8 @@ def cmd_pick(args):
     data, digest = _read_json(args.points)
     inputs["points"] = {"path": args.points, "sha256": digest}
     pts = [point_from_dict(g, d) for d in data["points"]]
-    B = _values_from_json(data["B"]) if "B" in data else [np.eye(g.nv)] * len(pts)
-    C = _values_from_json(data["C"])
+    B = _complex_from_json(data["B"], ndim=3) if "B" in data else [np.eye(g.nv)] * len(pts)
+    C = _complex_from_json(data["C"], ndim=3)
     rep = is_completely_positive(pick_map_matrix(pts, B, C), tol=args.tol)
     report = {
         "command": "pick",
@@ -193,7 +189,7 @@ def cmd_schur_check(args):
     data, digest = _read_json(args.points)
     inputs["points"] = {"path": args.points, "sha256": digest}
     pts = [point_from_dict(g, d) for d in data["points"]]
-    values = _values_from_json(data["values"])
+    values = _complex_from_json(data["values"], ndim=3)
     rep = is_completely_positive(schur_kernel_matrix(pts, values), tol=args.tol)
     report = {
         "command": "schur-check",
@@ -226,7 +222,7 @@ def cmd_transfer(args):
         "tol": args.tol,
         "N": args.N,
         "validation": val,
-        "value": _mat_json(value),
+        "value": _complex_to_json(value),
         "series_residual": resid,
         "tail_bound": tail,
         "worst_residual": max(val["coisometry_residual"], resid),
@@ -241,7 +237,7 @@ def cmd_realize(args):
     data, digest = _read_json(args.points)
     inputs["points"] = {"path": args.points, "sha256": digest}
     pts = [point_from_dict(g, d) for d in data["points"]]
-    values = _values_from_json(data["values"])
+    values = _complex_from_json(data["values"], ndim=3)
     q1 = args.q1.split(",") if args.q1 else data.get("q1", list(g.vertices))
     q2 = args.q2.split(",") if args.q2 else data.get("q2", list(g.vertices))
     system, rep = realize_from_samples(pts, values, q1, q2, tol=args.tol)
@@ -295,7 +291,7 @@ def cmd_mobius(args):
         moved = mobius_apply(gamma, point)
         twice = mobius_apply(gamma, moved)
         invol = float(np.abs(twice.weights - point.weights).max(initial=0.0))
-        report["image_weights"] = {e.name: [float(w.real), float(w.imag)]
+        report["image_weights"] = {e.name: _complex_to_json(w)
                                    for e, w in zip(g.edges, moved.weights)}
         report["image_norm"] = moved.norm
         report["involution_residual"] = invol
@@ -353,7 +349,6 @@ def build_parser():
         if graph:
             p.add_argument("--graph", required=True, help="graph JSON file")
         p.add_argument("--tol", type=float, default=tol)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="write the JSON report here instead of stdout")
 
     p = sub.add_parser("validate-graph", help="structural checks and fullness flags")

@@ -33,7 +33,14 @@ import json
 
 import numpy as np
 
-from .graph_core import GraphError, as_edge_function, path_source, path_range
+from .graph_core import (
+    GraphError,
+    _complex_from_json,
+    _complex_to_json,
+    as_edge_function,
+    path_range,
+    path_source,
+)
 
 
 class BoundaryError(ValueError):
@@ -107,18 +114,34 @@ def random_point(g, rng, max_norm=0.9, min_norm=0.0):
 # ---------------------------------------------------------------------------
 # rank-one maps and resolvents
 
+def _theta_stack(g, points1, points2):
+    """Stack of theta matrices, shape (len(points1), len(points2), nv, nv):
+    entry [i, j, r(e), s(e)] accumulates conj(w_i(e)) * w_j(e) over the
+    edges, in edge order."""
+    for p in (*points1, *points2):
+        if p.graph != g:
+            raise GraphError("points live on different graphs")
+    incidence = np.zeros((g.ne, g.nv, g.nv))
+    for i, e in enumerate(g.edges):
+        incidence[i, g.vindex[e.dst], g.vindex[e.src]] = 1.0
+    w1 = np.array([p.weights for p in points1]).reshape(len(points1), g.ne)
+    w2 = np.array([p.weights for p in points2]).reshape(len(points2), g.ne)
+    return np.einsum("ie,je,evs->ijvs", w1.conj(), w2, incidence)
+
+
+def _resolvent_stack(g, points1, points2):
+    """R[i, j] = matrix of (id - theta_{points1[i], points2[j]})^{-1}, all
+    pairs in one batched solve."""
+    eye = np.eye(g.nv, dtype=complex)
+    return np.linalg.solve(eye - _theta_stack(g, points1, points2), eye)
+
+
 def theta_matrix(p1, p2):
     """Matrix of theta_{p1, p2} acting on vertex functions.
 
     Entry (r(e), s(e)) accumulates conj(w1(e)) * w2(e).
     """
-    g = p1.graph
-    if g != p2.graph:
-        raise GraphError("points live on different graphs")
-    th = np.zeros((g.nv, g.nv), dtype=complex)
-    for i, e in enumerate(g.edges):
-        th[g.vindex[e.dst], g.vindex[e.src]] += np.conj(p1.weights[i]) * p2.weights[i]
-    return th
+    return _theta_stack(p1.graph, [p1], [p2])[0, 0]
 
 
 def theta_map(p1, p2, a):
@@ -131,10 +154,7 @@ def theta_map(p1, p2, a):
 def resolvent_matrix(p1, p2):
     """Matrix of (id - theta_{p1, p2})^{-1}; defined whenever
     ||p1|| * ||p2|| < 1, which makes the Neumann series converge."""
-    g = p1.graph
-    th = theta_matrix(p1, p2)
-    eye = np.eye(g.nv, dtype=complex)
-    return np.linalg.solve(eye - th, eye)
+    return _resolvent_stack(p1.graph, [p1], [p2])[0, 0]
 
 
 def theta_resolvent(p1, p2, a):
@@ -176,8 +196,7 @@ def evaluate_poly(x, point):
 # JSON form
 
 def point_to_dict(p):
-    return {"weights": {e.name: [float(w.real), float(w.imag)]
-                        for e, w in zip(p.graph.edges, p.weights)}}
+    return {"weights": {e.name: _complex_to_json(w) for e, w in zip(p.graph.edges, p.weights)}}
 
 
 def point_from_dict(g, data, allow_boundary=False):
@@ -185,12 +204,7 @@ def point_from_dict(g, data, allow_boundary=False):
         raw = data["weights"]
     except (KeyError, TypeError):
         raise GraphError("dual point dict must have a 'weights' entry")
-    weights = {}
-    for name, val in raw.items():
-        if isinstance(val, (list, tuple)):
-            weights[name] = complex(val[0], val[1] if len(val) > 1 else 0.0)
-        else:
-            weights[name] = complex(val)
+    weights = {name: _complex_from_json(val) for name, val in raw.items()}
     return make_dual_point(g, weights, allow_boundary=allow_boundary)
 
 

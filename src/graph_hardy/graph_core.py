@@ -146,10 +146,6 @@ def two_vertex_example():
 # ---------------------------------------------------------------------------
 # paths
 
-def is_vertex_path(g, path):
-    return isinstance(path, str)
-
-
 def path_source(g, path):
     """Source vertex of a path (the vertex where it starts reading)."""
     if isinstance(path, str):
@@ -220,6 +216,27 @@ def center_basis(g):
     happens exactly when e is a loop.
     """
     return list(g.loops())
+
+
+# ---------------------------------------------------------------------------
+# JSON form of complex numbers
+
+def _complex_to_json(z):
+    """[re, im] for a complex number; nested lists of them for an array."""
+    if np.ndim(z) == 0:
+        return [float(np.real(z)), float(np.imag(z))]
+    return [_complex_to_json(x) for x in z]
+
+
+def _complex_from_json(val, ndim=0):
+    """Inverse of _complex_to_json.  A number may also be given as [re]
+    or as anything complex() accepts; with ndim > 0, val is a nested list
+    of numbers that many levels deep, returned as a complex ndarray."""
+    if ndim:
+        return np.array([_complex_from_json(v, ndim - 1) for v in val], dtype=complex)
+    if isinstance(val, (list, tuple)):
+        return complex(val[0], val[1] if len(val) > 1 else 0.0)
+    return complex(val)
 
 
 # ---------------------------------------------------------------------------

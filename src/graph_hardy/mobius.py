@@ -27,9 +27,9 @@ import json
 
 import numpy as np
 
-from .graph_core import GraphError
-from .dual_eval import DualPoint, dual_norm, resolvent_matrix, theta_matrix
-from .pick_kernel import CpMapMatrix, StructuralError
+from .graph_core import GraphError, _complex_from_json, _complex_to_json
+from .dual_eval import DualPoint, _resolvent_stack, _theta_stack, dual_norm
+from .pick_kernel import StructuralError, _kernel
 
 
 class CentralPoint:
@@ -69,18 +69,11 @@ def central_from_dict(g, data):
         raw = data["loops"]
     except (KeyError, TypeError):
         raise GraphError("central point dict must have a 'loops' entry")
-    loops = {}
-    for name, val in raw.items():
-        if isinstance(val, (list, tuple)):
-            loops[name] = complex(val[0], val[1] if len(val) > 1 else 0.0)
-        else:
-            loops[name] = complex(val)
-    return CentralPoint(g, loops)
+    return CentralPoint(g, {name: _complex_from_json(val) for name, val in raw.items()})
 
 
 def central_to_dict(c):
-    return {"loops": {e: [float(w.real), float(w.imag)]
-                      for e, w in c.loop_weights().items()}}
+    return {"loops": {e: _complex_to_json(w) for e, w in c.loop_weights().items()}}
 
 
 def load_central(g, path):
@@ -119,24 +112,36 @@ def mobius_matrix(gamma, point):
     inv_d_edge = _inv_sqrtm_pd(np.eye(g.ne) - G @ G.conj().T)
     core = np.linalg.solve(np.eye(g.nv) - eta_adj @ G, G.conj().T - eta_adj)
     M = d_vertex @ core @ inv_d_edge
-    support = np.zeros((g.nv, g.ne), dtype=bool)
-    for i, e in enumerate(g.edges):
-        support[g.vindex[e.dst], i] = True
-    off = float(np.abs(np.where(support, 0.0, M)).max(initial=0.0))
-    if off > 1e-12 * (1.0 + float(np.abs(M).max(initial=0.0))):
-        raise StructuralError("Mobius image leaks off the edge support by %.3e" % off)
+    _check_edge_support(g, M, "Mobius image")
     return M
+
+
+def _edge_support(g):
+    """(rows, cols) of the entries (r(e), e) of an nv x ne matrix."""
+    return np.array([g.vindex[e.dst] for e in g.edges], dtype=int), np.arange(g.ne)
+
+
+def _check_edge_support(g, M, what):
+    """Raise StructuralError if the nv x ne matrix M has an entry beyond
+    1e-12 relative off the support (r(e), e)."""
+    outside = M.copy()
+    outside[_edge_support(g)] = 0.0
+    off = float(np.abs(outside).max(initial=0.0))
+    if off > 1e-12 * (1.0 + float(np.abs(M).max(initial=0.0))):
+        raise StructuralError("%s leaks off the edge support by %.3e" % (what, off))
+
+
+def _point_from_edge_support(g, M, point):
+    """The dual point whose weight(e) is the conjugate of M at (r(e), e);
+    on the closed ball when the point it was moved from is at the boundary."""
+    weights = np.conj(M[_edge_support(g)])
+    return DualPoint(g, weights, allow_boundary=point.norm >= 1.0 - 1e-12)
 
 
 def mobius_apply(gamma, point):
     """g_gamma as a map of dual points: weight(e) of the image is the
     conjugate of the matrix entry at (r(e), e)."""
-    g = gamma.graph
-    M = mobius_matrix(gamma, point)
-    weights = np.zeros(g.ne, dtype=complex)
-    for i, e in enumerate(g.edges):
-        weights[i] = np.conj(M[g.vindex[e.dst], i])
-    return DualPoint(g, weights, allow_boundary=point.norm >= 1.0 - 1e-12)
+    return _point_from_edge_support(gamma.graph, mobius_matrix(gamma, point), point)
 
 
 def mobius_colligation(gamma):
@@ -167,13 +172,5 @@ def mobius_congruence_matrix(gamma, points):
     gamma."""
     g = gamma.graph
     moved = [mobius_apply(gamma, p) for p in points]
-    k = len(points)
-    tensors = np.zeros((k, k, g.nv, g.nv, g.nv), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            R = resolvent_matrix(points[i], points[j])
-            Tm = np.eye(g.nv) - theta_matrix(moved[i], moved[j])
-            prod = Tm @ R
-            for u in range(g.nv):
-                tensors[i, j, u] = np.diag(prod[:, u])
-    return CpMapMatrix(g, tensors)
+    theta = _theta_stack(g, moved, moved)
+    return _kernel(g, (np.eye(g.nv) - theta) @ _resolvent_stack(g, points, points))

@@ -23,14 +23,18 @@ positive semidefinite.  (Feeding the map matrix a PSD block (a_ij) with
 a_ij = c_ij delta_u and compressing shows necessity; sufficiency is the
 usual Choi argument applied per vertex, since C(V) splits as a direct
 sum over the vertices.)
+
+A CpMapMatrix is stored as exactly these blocks, one per vertex.  All
+kernels come from one builder: one batched solve gives every R_ij, and
+for each vertex u the stacked products (L_i diag(R_ij delta_u)) L_j^*
+are written straight into Ch_u.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graph_core import GraphError
-from .dual_eval import resolvent_matrix
+from .dual_eval import _resolvent_stack
 
 
 class StructuralError(RuntimeError):
@@ -39,42 +43,27 @@ class StructuralError(RuntimeError):
 
 
 class CpMapMatrix:
-    """A k x k matrix of linear maps C(V) -> nv x nv matrices.
+    """A k x k matrix of linear maps C(V) -> nv x nv matrices, stored as
+    its per-vertex Choi blocks.
 
-    tensors[i, j, u] is the value of the (i, j) map on the basis vector
-    delta_u, stored as an nv x nv complex matrix.
+    choi[u] is the (k nv) x (k nv) Choi block of the vertex u, rows and
+    columns indexed by (point, vertex) pairs with the point index
+    outermost: choi[u][(i, p), (j, q)] = m_ij(delta_u)[p, q].
     """
 
-    def __init__(self, graph, tensors):
-        tensors = np.asarray(tensors, dtype=complex)
+    def __init__(self, graph, choi):
+        choi = np.asarray(choi, dtype=complex)
         nv = graph.nv
-        if tensors.ndim != 5 or tensors.shape[1] != tensors.shape[0] \
-                or tensors.shape[2:] != (nv, nv, nv):
-            raise ValueError("tensors must have shape (k, k, nv, nv, nv)")
+        if choi.ndim != 3 or choi.shape[0] != nv or choi.shape[1] != choi.shape[2] \
+                or choi.shape[1] % nv:
+            raise ValueError("choi must have shape (nv, k*nv, k*nv)")
         self.graph = graph
-        self.tensors = tensors
-        self.k = tensors.shape[0]
-
-    def apply(self, blocks):
-        """Apply the map matrix entrywise to a k x k block array of vertex
-        functions; returns the k x k array of nv x nv value matrices."""
-        blocks = np.asarray(blocks, dtype=complex)
-        out = np.zeros((self.k, self.k, self.graph.nv, self.graph.nv), dtype=complex)
-        for i in range(self.k):
-            for j in range(self.k):
-                for u in range(self.graph.nv):
-                    out[i, j] += blocks[i, j, u] * self.tensors[i, j, u]
-        return out
+        self.choi = choi
+        self.k = choi.shape[1] // nv
 
     def choi_block(self, u):
-        """The (k nv) x (k nv) Choi matrix of the vertex u, rows and columns
-        indexed by (point, vertex) pairs with the point index outermost."""
-        nv = self.graph.nv
-        t = self.tensors[:, :, u]
-        return t.transpose(0, 2, 1, 3).reshape(self.k * nv, self.k * nv)
-
-    def choi_blocks(self):
-        return [(v, self.choi_block(u)) for u, v in enumerate(self.graph.vertices)]
+        """The (k nv) x (k nv) Choi matrix of the vertex u."""
+        return self.choi[u]
 
 
 def _as_target_matrix(g, t):
@@ -89,19 +78,35 @@ def _as_target_matrix(g, t):
     raise ValueError("target must be a scalar, a length-nv vector, or an nv x nv matrix")
 
 
-def _resolvent_columns(points):
-    """R[i][j] = matrix of (id - theta_{eta_i, eta_j})^{-1}; column u of it
-    is the resolvent applied to delta_u."""
-    k = len(points)
-    g = points[0].graph
-    for p in points:
-        if p.graph != g:
-            raise GraphError("points live on different graphs")
-    R = np.zeros((k, k, g.nv, g.nv), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            R[i, j] = resolvent_matrix(points[i], points[j])
-    return R
+def _targets(g, targets):
+    return np.array([_as_target_matrix(g, t) for t in targets])
+
+
+def _kernel(g, R, plus=None, minus=None):
+    """CpMapMatrix of the maps a |-> P_i D_ij(a) P_j^* - M_i D_ij(a) M_j^*,
+    where D_ij(a) = diag(R_ij a) for the (k, k, nv, nv) stack R, and P =
+    plus, M = minus are (k, nv, nv) target stacks.  plus=None stands for
+    the identity, minus=None drops the second term.
+
+    For each vertex u the stacked products (L_i D_ij(delta_u)) L_j^* go
+    straight into its Choi block; this association rounds exactly like
+    the per-pair formula.
+    """
+    k, nv = R.shape[0], g.nv
+    choi = np.empty((nv, k * nv, k * nv), dtype=complex)
+    D = np.zeros((k, k, nv, nv), dtype=complex)
+    idx = np.arange(nv)
+
+    def term(L):
+        return (L[:, None] @ D) @ L.conj().transpose(0, 2, 1)[None]
+
+    for u in range(nv):
+        D[:, :, idx, idx] = R[:, :, :, u]
+        block = D if plus is None else term(plus)
+        if minus is not None:
+            block = block - term(minus)
+        choi[u] = block.transpose(0, 2, 1, 3).reshape(k * nv, k * nv)
+    return CpMapMatrix(g, choi)
 
 
 def pick_map_matrix(points, B, C):
@@ -113,16 +118,8 @@ def pick_map_matrix(points, B, C):
     if len(B) != k or len(C) != k:
         raise ValueError("need one B and one C target per point")
     g = points[0].graph
-    Bm = [_as_target_matrix(g, t) for t in B]
-    Cm = [_as_target_matrix(g, t) for t in C]
-    R = _resolvent_columns(points)
-    tensors = np.zeros((k, k, g.nv, g.nv, g.nv), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            for u in range(g.nv):
-                D = np.diag(R[i, j][:, u])
-                tensors[i, j, u] = Bm[i] @ D @ Bm[j].conj().T - Cm[i] @ D @ Cm[j].conj().T
-    return CpMapMatrix(g, tensors)
+    plus, minus = _targets(g, B), _targets(g, C)
+    return _kernel(g, _resolvent_stack(g, points, points), plus, minus)
 
 
 def schur_kernel_matrix(points, values):
@@ -135,15 +132,8 @@ def schur_kernel_matrix(points, values):
     if len(values) != k:
         raise ValueError("need one value matrix per point")
     g = points[0].graph
-    Z = [_as_target_matrix(g, z) for z in values]
-    R = _resolvent_columns(points)
-    tensors = np.zeros((k, k, g.nv, g.nv, g.nv), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            for u in range(g.nv):
-                D = np.diag(R[i, j][:, u])
-                tensors[i, j, u] = D - Z[i] @ D @ Z[j].conj().T
-    return CpMapMatrix(g, tensors)
+    minus = _targets(g, values)
+    return _kernel(g, _resolvent_stack(g, points, points), minus=minus)
 
 
 def is_completely_positive(m, tol=1e-9, herm_tol=1e-12):

@@ -39,7 +39,7 @@ import json
 import numpy as np
 import scipy.linalg
 
-from .graph_core import GraphError
+from .graph_core import GraphError, _complex_from_json, _complex_to_json
 from .dual_eval import evaluate_poly  # noqa: F401  (re-exported for demos)
 from .fock import HardyPoly
 from .pick_kernel import schur_kernel_matrix, is_completely_positive
@@ -621,20 +621,10 @@ def realize_from_samples(points, values, q1, q2, tol=1e-9, rank_tol=None):
 # ---------------------------------------------------------------------------
 # JSON form
 
-def _c2p(z):
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _mat_to_json(M):
-    return [[_c2p(z) for z in row] for row in np.asarray(M)]
-
-
 def _mat_from_json(rows, shape):
-    M = np.zeros(shape, dtype=complex)
-    arr = [[complex(p[0], p[1] if len(p) > 1 else 0.0) for p in row] for row in rows]
-    got = np.array(arr, dtype=complex) if arr else np.zeros((0, 0), dtype=complex)
+    got = _complex_from_json(rows, ndim=2) if rows else np.zeros((0, 0), dtype=complex)
     if got.size == 0 and 0 in shape:
-        return M
+        return np.zeros(shape, dtype=complex)
     if got.shape != shape:
         raise GraphError("matrix has shape %s, expected %s" % (got.shape, shape))
     return got
@@ -645,10 +635,10 @@ def system_to_dict(s):
         "multiplicities": {v: s.m[v] for v in s.graph.vertices},
         "q1": list(s.q1),
         "q2": list(s.q2),
-        "A": {v: _c2p(a) for v, a in s.A.items()},
-        "B": {v: _mat_to_json(b) for v, b in s.B.items()},
-        "C": {e: _mat_to_json(c) for e, c in s.C.items()},
-        "D": {e: _mat_to_json(d) for e, d in s.D.items()},
+        "A": {v: _complex_to_json(a) for v, a in s.A.items()},
+        "B": {v: _complex_to_json(b) for v, b in s.B.items()},
+        "C": {e: _complex_to_json(c) for e, c in s.C.items()},
+        "D": {e: _complex_to_json(d) for e, d in s.D.items()},
     }
 
 
@@ -660,8 +650,7 @@ def system_from_dict(g, data):
     except (KeyError, TypeError) as exc:
         raise GraphError("system dict needs multiplicities, q1, q2: %s" % exc)
     mfull = {v: m.get(v, 0) for v in g.vertices}
-    A = {v: complex(p[0], p[1] if len(p) > 1 else 0.0)
-         for v, p in data.get("A", {}).items()}
+    A = {v: _complex_from_json(p) for v, p in data.get("A", {}).items()}
     B = {v: _mat_from_json(rows, (1, mfull.get(v, 0)))
          for v, rows in data.get("B", {}).items()}
     C = {e: _mat_from_json(rows, (mfull.get(g.dst.get(e), 0), 1))

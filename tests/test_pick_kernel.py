@@ -1,8 +1,11 @@
 """Pick and Schur kernels and the per-vertex Choi positivity test."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from conftest import random_graph
 from graph_hardy import (
     CpMapMatrix,
     Graph,
@@ -10,16 +13,23 @@ from graph_hardy import (
     HardyPoly,
     StructuralError,
     certify_contraction,
+    dual_norm,
     evaluate_poly,
     is_completely_positive,
+    make_central_point,
     make_dual_point,
+    mobius_apply,
+    mobius_congruence_matrix,
     pick_feasibility,
     pick_map_matrix,
     random_point,
     random_poly,
+    resolvent_matrix,
     schur_class_check,
     schur_kernel_matrix,
+    theta_matrix,
     two_vertex_example,
+    zero_point,
 )
 
 
@@ -35,16 +45,14 @@ def classical_pick(z, c):
 
 
 def test_choi_block_layout():
+    # At zero points every resolvent is the identity, so with integer B
+    # targets and C = 0 each entry is one exact product:
+    # Ch_u[(i, p), (j, q)] = B_i[p, u] conj(B_j[q, u]).
     g = two_vertex_example()
-    k, nv = 2, 2
-    tensors = np.zeros((k, k, nv, nv, nv), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            for u in range(nv):
-                for p in range(nv):
-                    for q in range(nv):
-                        tensors[i, j, u, p, q] = 1000 * i + 100 * j + 10 * p + q + 0.5 * u
-    m = CpMapMatrix(g, tensors)
+    k, nv = 3, 2
+    B = [np.array([[1 + 2j, 3], [5 - 1j, 7]]) + 10 * i for i in range(k)]
+    m = pick_map_matrix([zero_point(g)] * k, B, [0.0] * k)
+    assert m.k == k and m.graph == g
     for u in range(nv):
         ch = m.choi_block(u)
         assert ch.shape == (k * nv, k * nv)
@@ -52,24 +60,81 @@ def test_choi_block_layout():
             for j in range(k):
                 for p in range(nv):
                     for q in range(nv):
-                        assert ch[i * nv + p, j * nv + q] == tensors[i, j, u, p, q]
-    names = [v for v, _ in m.choi_blocks()]
-    assert names == list(g.vertices)
+                        assert ch[i * nv + p, j * nv + q] == B[i][p, u] * np.conj(B[j][q, u])
+    # the resolvent column of the vertex fills the diagonal of each (i, j) block
+    pts = [make_dual_point(g, {"e": 0.3j, "f": -0.2, "g": 0.1 + 0.4j}),
+           make_dual_point(g, {"e": 0.5, "g": -0.3j})]
+    m = schur_kernel_matrix(pts, [0.0, 0.0])
+    for u in range(nv):
+        ch = m.choi_block(u)
+        for i in range(2):
+            for j in range(2):
+                R = resolvent_matrix(pts[i], pts[j])
+                block = ch[i * nv:(i + 1) * nv, j * nv:(j + 1) * nv]
+                np.testing.assert_array_equal(block, np.diag(R[:, u]))
 
 
-def test_cpmapmatrix_apply_matches_manual_sum():
+def test_cpmapmatrix_rejects_bad_shape():
     g = two_vertex_example()
-    rng = np.random.default_rng(3)
-    tensors = rng.standard_normal((2, 2, 2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2, 2, 2))
-    m = CpMapMatrix(g, tensors)
-    blocks = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
-    out = m.apply(blocks)
-    for i in range(2):
-        for j in range(2):
-            manual = sum(blocks[i, j, u] * tensors[i, j, u] for u in range(2))
-            np.testing.assert_allclose(out[i, j], manual, atol=1e-14)
-    with pytest.raises(ValueError):
-        CpMapMatrix(g, np.zeros((2, 3, 2, 2, 2)))
+    assert CpMapMatrix(g, np.zeros((2, 4, 4))).k == 2
+    for shape in [(2, 2, 2, 2, 2), (3, 4, 4), (2, 4, 6), (2, 3, 3), (4, 4)]:
+        with pytest.raises(ValueError):
+            CpMapMatrix(g, np.zeros(shape))
+
+
+@pytest.mark.parametrize("graph", ["two_vertex", "loop", 1, 4, 28, 38])
+def test_builders_match_per_pair_formula(graph):
+    # seeds 1, 4, 28, 38 of conftest.random_graph give parallel edges (a
+    # class of three at 38) and a sink, besides the loops the Mobius
+    # congruence kernel needs
+    if graph == "two_vertex":
+        g = two_vertex_example()
+    elif graph == "loop":
+        g = loop_graph()
+    else:
+        g = random_graph(np.random.default_rng(graph), ensure_loop=True)
+        assert max(Counter((e.src, e.dst) for e in g.edges).values()) > 1
+        assert any(not g.out_edges(v) for v in g.vertices)
+    rng = np.random.default_rng(5)
+    k, nv = 3, g.nv
+    pts = [random_point(g, rng, max_norm=0.8) for _ in range(k)]
+
+    def targets(scale):
+        return [scale * (rng.standard_normal((nv, nv)) + 1j * rng.standard_normal((nv, nv)))
+                for _ in range(k)]
+    B, C, Z = targets(1.0), targets(0.5), targets(0.3)
+    loops = {e: rng.standard_normal() + 1j * rng.standard_normal() for e in g.loops()}
+    shrink = 0.6 / dual_norm(g, loops)
+    gamma = make_central_point(g, {e: w * shrink for e, w in loops.items()})
+    moved = [mobius_apply(gamma, p) for p in pts]
+
+    # each formula gives m_ij(delta_u) from R = resolvent_matrix(pts[i], pts[j])
+    def pick(i, j, R, u):
+        D = np.diag(R[:, u])
+        return B[i] @ D @ B[j].conj().T - C[i] @ D @ C[j].conj().T
+
+    def schur(i, j, R, u):
+        D = np.diag(R[:, u])
+        return D - Z[i] @ D @ Z[j].conj().T
+
+    def congruence(i, j, R, u):
+        return np.diag(((np.eye(nv) - theta_matrix(moved[i], moved[j])) @ R)[:, u])
+
+    cases = [(pick_map_matrix(pts, B, C), pick),
+             (schur_kernel_matrix(pts, Z), schur),
+             (mobius_congruence_matrix(gamma, pts), congruence)]
+    for m, formula in cases:
+        want = np.zeros((nv, k * nv, k * nv), dtype=complex)
+        for i in range(k):
+            for j in range(k):
+                R = resolvent_matrix(pts[i], pts[j])
+                for u in range(nv):
+                    block = formula(i, j, R, u)
+                    for p in range(nv):
+                        for q in range(nv):
+                            want[u, i * nv + p, j * nv + q] = block[p, q]
+        got = np.array([m.choi_block(u) for u in range(nv)])
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_pick_matches_classical_oracle_frozen():
@@ -132,11 +197,11 @@ def test_schur_kernel_zero_function_is_resolvent():
 
 def test_structural_error_on_non_hermitian():
     g = two_vertex_example()
-    tensors = np.zeros((1, 1, 2, 2, 2), dtype=complex)
+    choi = np.zeros((2, 2, 2), dtype=complex)
     for u in range(2):
-        tensors[0, 0, u] = np.array([[0.0, 1.0], [0.0, 0.0]])
+        choi[u] = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(StructuralError):
-        is_completely_positive(CpMapMatrix(g, tensors))
+        is_completely_positive(CpMapMatrix(g, choi))
 
 
 def test_input_validation():
@@ -159,4 +224,4 @@ def test_targets_coerce_scalar_vector_matrix():
     pts = [make_dual_point(g, {"g": 0.2})]
     m1 = pick_map_matrix(pts, [1.0], [np.array([0.1, 0.2])])
     m2 = pick_map_matrix(pts, [np.eye(2)], [np.diag([0.1, 0.2])])
-    np.testing.assert_allclose(m1.tensors, m2.tensors, atol=1e-15)
+    np.testing.assert_allclose(m1.choi, m2.choi, atol=1e-15)
