@@ -195,18 +195,46 @@ def path_basis(g, k):
     """
     if k < 0:
         raise ValueError("path length must be >= 0")
-    if k == 0:
-        return [v for v in g.vertices]
-    level = [(e.name,) for e in g.edges]
-    for _ in range(k - 1):
-        nxt = []
-        for e in g.edges:
-            tail = g.src[e.name]
-            for p in level:
-                if path_range(g, p) == tail:
-                    nxt.append((e.name,) + p)
-        level = nxt
-    return level
+    return _PathIndex(g, k).levels()[k]
+
+
+class _PathIndex:
+    """Integer index of the paths of length 0..N of g, level by level.
+
+    Level k holds the paths of length k.  range[k] is the array of their
+    range vertex indices (level 0 is the vertices themselves), and for
+    k >= 1 child[k] is an (ne, len(level k-1)) table: child[k][e, j] is
+    the position in level k of the path e followed by path j of level
+    k-1, or -1 when s(e) != r(path j).  Level k lists the pairs (e, j)
+    with child[k][e, j] >= 0 in row-major order, which is path_basis's
+    lexicographic order.  offset[k] is the position of level k's first
+    path in the concatenated basis, and offset[N + 1] is its length.
+    """
+
+    def __init__(self, g, N):
+        self.graph = g
+        src = np.array([g.vindex[e.src] for e in g.edges], dtype=np.intp)
+        dst = np.array([g.vindex[e.dst] for e in g.edges], dtype=np.intp)
+        self.range = [np.arange(g.nv)]
+        self.child = [None]
+        for _ in range(N):
+            e, tail = np.nonzero(src[:, None] == self.range[-1])
+            child = np.full((g.ne, len(self.range[-1])), -1, dtype=np.intp)
+            child[e, tail] = np.arange(len(e))
+            self.child.append(child)
+            self.range.append(dst[e])
+        self.offset = np.cumsum([0] + [len(r) for r in self.range])
+
+    def levels(self):
+        """The paths of each length 0..N, as path_basis lists them."""
+        names = [e.name for e in self.graph.edges]
+        out = [list(self.graph.vertices)]
+        prev = [()] * self.graph.nv
+        for child in self.child[1:]:
+            e, tail = np.nonzero(child >= 0)
+            prev = [(names[i],) + prev[j] for i, j in zip(e.tolist(), tail.tolist())]
+            out.append(prev)
+        return out
 
 
 def center_basis(g):

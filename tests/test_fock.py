@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from graph_hardy import (
     Graph,
@@ -20,8 +22,36 @@ from graph_hardy import (
     random_poly,
     two_vertex_example,
 )
+from graph_hardy import fock
 from graph_hardy.fock import fock_index, load_poly
+from graph_hardy.graph_core import compose
 from conftest import random_graph
+
+
+def complete_two_vertex():
+    return Graph(["a", "b"], [("aa", "a", "a"), ("ab", "a", "b"),
+                              ("ba", "b", "a"), ("bb", "b", "b")])
+
+
+def creation_matrix_oracle(x, N):
+    """creation_matrix as one compose call per (term, basis path) pair."""
+    g = x.graph
+    basis, index = fock_index(g, N)
+    rows, cols, vals = [], [], []
+    for p, c in x.coeffs.items():
+        plen = 0 if isinstance(p, str) else len(p)
+        for j, beta in enumerate(basis):
+            blen = 0 if isinstance(beta, str) else len(beta)
+            if plen + blen > N:
+                continue
+            gamma = compose(g, p, beta)
+            if gamma is None:
+                continue
+            rows.append(index[gamma])
+            cols.append(j)
+            vals.append(c)
+    dim = len(basis)
+    return sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex))
 
 
 @pytest.fixture
@@ -127,6 +157,101 @@ def test_cuntz_toeplitz_two_vertex_exact(g2):
         cuntz_toeplitz_check(g2, 1)
 
 
+@pytest.mark.parametrize("name, N", [
+    ("two_vertex", 2), ("two_vertex", 6), ("one_loop", 2), ("one_loop", 6),
+    ("complete", 2), ("complete", 6),
+    # seeds of conftest.random_graph with parallel edges, a sink and a source
+    ("seed12", 2), ("seed12", 5), ("seed28", 2), ("seed28", 5), ("seed45", 2), ("seed45", 5),
+])
+def test_creation_matrix_matches_compose_oracle(name, N):
+    if name == "two_vertex":
+        g = two_vertex_example()
+    elif name == "one_loop":
+        g = Graph(["u"], [("z", "u", "u")])
+    elif name == "complete":
+        g = complete_two_vertex()
+    else:
+        g = random_graph(np.random.default_rng(int(name[4:])))
+    rng = np.random.default_rng(N)
+    polys = [random_poly(g, rng, degree=2), random_poly(g, rng, degree=3),
+             HardyPoly.one(g), HardyPoly.zero(g)]
+    polys += [HardyPoly.shift(g, e.name) for e in g.edges]
+    for x in polys:
+        got, want = creation_matrix(x, N), creation_matrix_oracle(x, N)
+        assert got.shape == want.shape
+        for field in ("indptr", "indices", "data"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
+def patch_shift_columns(monkeypatch, g, N, columns):
+    """Make creation_matrix return S_e with the given columns replaced:
+    columns[e][beta] = {gamma: value} is the new image of beta."""
+    _, index = fock_index(g, N)
+    honest = fock.creation_matrix
+
+    def broken(x, n):
+        m = honest(x, n)
+        for e, cols in columns.items():
+            if x.coeffs == {(e,): 1.0}:
+                m = m.tolil()
+                for beta, image in cols.items():
+                    m[:, index[beta]] = 0.0
+                    for gamma, value in image.items():
+                        m[index[gamma], index[beta]] = value
+                m = m.tocsr()
+        return m
+
+    monkeypatch.setattr(fock, "creation_matrix", broken)
+
+
+def test_cuntz_toeplitz_detects_overlapping_shift(g2, monkeypatch):
+    # S_f sends both w and e to f: its image overlaps itself, so S_f is
+    # no isometry and S_f S_f* exceeds P_v at the path f
+    patch_shift_columns(monkeypatch, g2, 4, {"f": {("e",): {("f",): 1.0}}})
+    rep = cuntz_toeplitz_check(g2, 4)
+    assert rep["passed"] is False
+    assert rep["deviations"]["shift_isometries"] >= 1.0
+    assert rep["deviations"]["row_contraction"] >= 1.0
+
+
+def test_cuntz_toeplitz_bounds_row_gap_with_zero_diagonal(g2, monkeypatch):
+    # S_e v = (e + g) / sqrt 2 and S_g w = (e + i g) / sqrt 2: on span{e, g}
+    # the row gap P_w - S_e S_e* - S_g S_g* has zero diagonal and
+    # eigenvalues +-1/sqrt 2, so only the off-diagonal part shows it
+    r = 2 ** -0.5
+    patch_shift_columns(monkeypatch, g2, 4, {"e": {"v": {("e",): r, ("g",): r}},
+                                             "g": {"w": {("e",): r, ("g",): 1j * r}}})
+    rep = cuntz_toeplitz_check(g2, 4)
+    assert rep["passed"] is False
+    assert rep["deviations"]["row_contraction"] >= r - 1e-12
+
+
+@pytest.mark.parametrize("g, basis", [
+    (Graph(["v", "w"], [("e", "v", "w")]), ["v", "w", ("e",)]),  # levels >= 2 empty
+    (Graph(["u"], []), ["u"]),                                     # no edges at all
+])
+def test_fock_space_with_empty_levels(g, basis):
+    N = 3
+    assert fock_basis(g, N) == basis
+    dim = len(basis)
+    np.testing.assert_array_equal(creation_matrix(HardyPoly.one(g), N).toarray(), np.eye(dim))
+    for e in g.edges:
+        assert creation_matrix(HardyPoly.shift(g, e.name), N).nnz == 1
+    rep = cuntz_toeplitz_check(g, N)
+    assert rep["passed"] and rep["max_deviation"] == 0.0
+    assert rep["dim"] == rep["restricted_dim"] == dim
+    assert fock_norm_bound(HardyPoly.one(g), N) == 1.0
+
+
+def test_cuntz_toeplitz_complete_graph_large_truncation():
+    # dim 16,382: one dense restricted block alone would take about 1 GB
+    rep = cuntz_toeplitz_check(complete_two_vertex(), 12)
+    assert rep["dim"] == 2 ** 14 - 2
+    assert rep["restricted_dim"] == 2 ** 13 - 2
+    assert rep["max_deviation"] == 0.0 and rep["passed"]
+
+
 def test_cuntz_toeplitz_random_graphs():
     rng = np.random.default_rng(17)
     for _ in range(5):
@@ -140,6 +265,36 @@ def test_norm_bound_shift_and_scaling(g2):
     assert abs(fock_norm_bound(se, 3) - 1.0) < 1e-12
     assert abs(fock_norm_bound(2.0 * se, 3) - 2.0) < 1e-12
     assert fock_norm_bound(HardyPoly.zero(g2), 3) == 0.0
+
+
+def test_norm_bound_arpack_is_deterministic(g2):
+    x = random_poly(g2, np.random.default_rng(37), degree=2)
+    N = 9
+    m = creation_matrix(x, N)
+    assert m.shape[0] > fock._DENSE_SVD_MAX_DIM  # the ARPACK branch
+    bounds = {fock_norm_bound(x, N) for _ in range(5)}
+    assert len(bounds) == 1
+    dense = np.linalg.svd(m.toarray(), compute_uv=False)[0]
+    assert abs(bounds.pop() - dense) <= 1e-13 * dense
+
+
+def test_norm_bound_falls_back_only_on_arpack_errors(g2, monkeypatch):
+    x = random_poly(g2, np.random.default_rng(41), degree=2)
+    N = 9
+    dense = np.linalg.svd(creation_matrix(x, N).toarray(), compute_uv=False)[0]
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "svds", no_convergence)
+    assert fock_norm_bound(x, N) == float(dense)
+
+    def bug(*args, **kwargs):
+        raise TypeError("a programming error")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "svds", bug)
+    with pytest.raises(TypeError):
+        fock_norm_bound(x, N)
 
 
 def test_norm_bound_classical_oracle():
