@@ -2,13 +2,15 @@
 
 Subcommands: validate-graph, fock-check, eval, pick, schur-check,
 transfer, realize, mobius, autom-demo.  Every command reads JSON inputs,
-emits a JSON report (stdout, or --out for most commands), and exits 0
-when the requested check passes, 1 when the mathematics fails
-(infeasible data, violated relations), 2 on malformed input.  Reports
-embed the tolerances used, the worst residual observed, and a sha256 of
-every input file, and are byte-identical across runs for the same
-inputs; autom-demo draws its points from --seed, the only option that
-takes a seed.
+emits a JSON report (to --out if given, else stdout; realize writes its
+system matrix to --out and every report to stdout), and exits 0 when the
+requested check passes, 1 when the mathematics fails (infeasible data,
+violated relations), 2 on malformed input, and 3 when the numerics break
+down on valid input (realize's ConditioningError, reported with kind
+"conditioning").  Reports embed the tolerances used, the worst residual
+observed, and a sha256 of every input file, and are byte-identical
+across runs for the same inputs; autom-demo draws its points from
+--seed, the only option that takes a seed.
 """
 
 from __future__ import annotations
@@ -63,11 +65,12 @@ from .automorphism import (
 )
 
 
-def _read_json(path):
+def _read_input(path, name, inputs):
+    """Parse the JSON file at path and record its path and sha256 as inputs[name]."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    digest = hashlib.sha256(raw).hexdigest()
-    return json.loads(raw.decode("utf-8")), digest
+    inputs[name] = {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
+    return json.loads(raw.decode("utf-8"))
 
 
 def _emit(report, out_path):
@@ -80,9 +83,13 @@ def _emit(report, out_path):
 
 
 def _load_graph_arg(args, inputs):
-    data, digest = _read_json(args.graph)
-    inputs["graph"] = {"path": args.graph, "sha256": digest}
-    return build_graph(data)
+    return build_graph(_read_input(args.graph, "graph", inputs))
+
+
+def _load_points_arg(args, g, inputs):
+    """The --points file and the dual points listed under its "points" key."""
+    data = _read_input(args.points, "points", inputs)
+    return data, [point_from_dict(g, d) for d in data["points"]]
 
 
 # ---------------------------------------------------------------------------
@@ -126,23 +133,15 @@ def cmd_fock_check(args):
 def cmd_eval(args):
     inputs = {}
     g = _load_graph_arg(args, inputs)
-    terms, digest = _read_json(args.poly)
-    inputs["poly"] = {"path": args.poly, "sha256": digest}
-    x = poly_from_terms(g, terms)
-    pdata, digest = _read_json(args.point)
-    inputs["point"] = {"path": args.point, "sha256": digest}
-    point = point_from_dict(g, pdata, allow_boundary=True)
+    x = poly_from_terms(g, _read_input(args.poly, "poly", inputs))
+    point = point_from_dict(g, _read_input(args.point, "point", inputs), allow_boundary=True)
     if args.gamma or args.unitary:
         if args.gamma:
-            gdata, digest = _read_json(args.gamma)
-            inputs["gamma"] = {"path": args.gamma, "sha256": digest}
-            gamma = central_from_dict(g, gdata)
+            gamma = central_from_dict(g, _read_input(args.gamma, "gamma", inputs))
         else:
             gamma = None
         if args.unitary:
-            udata, digest = _read_json(args.unitary)
-            inputs["unitary"] = {"path": args.unitary, "sha256": digest}
-            unitary = unitary_from_dict(g, udata)
+            unitary = unitary_from_dict(g, _read_input(args.unitary, "unitary", inputs))
         else:
             unitary = identity_unitary(g)
         value = pullback_evaluate(gamma, unitary, x, point)
@@ -165,9 +164,7 @@ def cmd_eval(args):
 def cmd_pick(args):
     inputs = {}
     g = _load_graph_arg(args, inputs)
-    data, digest = _read_json(args.points)
-    inputs["points"] = {"path": args.points, "sha256": digest}
-    pts = [point_from_dict(g, d) for d in data["points"]]
+    data, pts = _load_points_arg(args, g, inputs)
     B = _complex_from_json(data["B"], ndim=3) if "B" in data else [np.eye(g.nv)] * len(pts)
     C = _complex_from_json(data["C"], ndim=3)
     rep = is_completely_positive(pick_map_matrix(pts, B, C), tol=args.tol)
@@ -186,9 +183,7 @@ def cmd_pick(args):
 def cmd_schur_check(args):
     inputs = {}
     g = _load_graph_arg(args, inputs)
-    data, digest = _read_json(args.points)
-    inputs["points"] = {"path": args.points, "sha256": digest}
-    pts = [point_from_dict(g, d) for d in data["points"]]
+    data, pts = _load_points_arg(args, g, inputs)
     values = _complex_from_json(data["values"], ndim=3)
     rep = is_completely_positive(schur_kernel_matrix(pts, values), tol=args.tol)
     report = {
@@ -205,12 +200,8 @@ def cmd_schur_check(args):
 def cmd_transfer(args):
     inputs = {}
     g = _load_graph_arg(args, inputs)
-    sdata, digest = _read_json(args.system)
-    inputs["system"] = {"path": args.system, "sha256": digest}
-    s = system_from_dict(g, sdata)
-    pdata, digest = _read_json(args.point)
-    inputs["point"] = {"path": args.point, "sha256": digest}
-    point = point_from_dict(g, pdata)
+    s = system_from_dict(g, _read_input(args.system, "system", inputs))
+    point = point_from_dict(g, _read_input(args.point, "point", inputs))
     val = validate_system(s, tol=args.tol)
     value = transfer_eval(s, point)
     resid = series_residual(s, point, args.N)
@@ -234,9 +225,7 @@ def cmd_transfer(args):
 def cmd_realize(args):
     inputs = {}
     g = _load_graph_arg(args, inputs)
-    data, digest = _read_json(args.points)
-    inputs["points"] = {"path": args.points, "sha256": digest}
-    pts = [point_from_dict(g, d) for d in data["points"]]
+    data, pts = _load_points_arg(args, g, inputs)
     values = _complex_from_json(data["values"], ndim=3)
     q1 = args.q1.split(",") if args.q1 else data.get("q1", list(g.vertices))
     q2 = args.q2.split(",") if args.q2 else data.get("q2", list(g.vertices))
@@ -266,9 +255,7 @@ def cmd_realize(args):
 def cmd_mobius(args):
     inputs = {}
     g = _load_graph_arg(args, inputs)
-    gdata, digest = _read_json(args.gamma)
-    inputs["gamma"] = {"path": args.gamma, "sha256": digest}
-    gamma = central_from_dict(g, gdata)
+    gamma = central_from_dict(g, _read_input(args.gamma, "gamma", inputs))
     _, coll = mobius_colligation(gamma)
     from .dual_eval import zero_point
     img_zero = mobius_apply(gamma, zero_point(g))
@@ -285,9 +272,7 @@ def cmd_mobius(args):
     }
     worst = max(coll["coisometry_residual"], coll["isometry_residual"], fixed_dev, zero_dev)
     if args.point:
-        pdata, digest = _read_json(args.point)
-        inputs["point"] = {"path": args.point, "sha256": digest}
-        point = point_from_dict(g, pdata)
+        point = point_from_dict(g, _read_input(args.point, "point", inputs))
         moved = mobius_apply(gamma, point)
         twice = mobius_apply(gamma, moved)
         invol = float(np.abs(twice.weights - point.weights).max(initial=0.0))
@@ -345,11 +330,11 @@ def build_parser():
                     "dual-ball evaluation, Pick interpolation, realization.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, graph=True, tol=1e-9):
+    def common(p, graph=True, tol=1e-9, out="write the JSON report here instead of stdout"):
         if graph:
             p.add_argument("--graph", required=True, help="graph JSON file")
         p.add_argument("--tol", type=float, default=tol)
-        p.add_argument("--out", help="write the JSON report here instead of stdout")
+        p.add_argument("--out", help=out)
 
     p = sub.add_parser("validate-graph", help="structural checks and fullness flags")
     common(p)
@@ -388,13 +373,12 @@ def build_parser():
     p.set_defaults(func=cmd_transfer)
 
     p = sub.add_parser("realize", help="build a system matrix from samples")
-    common(p)
+    common(p, out="write the system matrix JSON here; the report always goes to stdout")
     p.add_argument("--points", required=True,
                    help='JSON file {"points": [...], "values": [...], "q1": [...], "q2": [...]}')
     p.add_argument("--q1", help="comma separated input vertices (overrides the file)")
     p.add_argument("--q2", help="comma separated output vertices (overrides the file)")
     p.set_defaults(func=cmd_realize)
-    # for realize, --out receives the SystemMatrix JSON; the report goes to stdout
 
     p = sub.add_parser("mobius", help="Mobius involution and its colligation")
     common(p)
@@ -417,22 +401,21 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
+    # realize's --out receives the system matrix, so its reports go to stdout
+    report_to = None if args.command == "realize" else args.out
     try:
         report, passed = args.func(args)
-    except FeasibilityError as exc:
+    except (FeasibilityError, ConditioningError) as exc:
+        infeasible = isinstance(exc, FeasibilityError)
         _emit({"command": args.command, "passed": False, "error": str(exc),
-               "kind": "infeasible"}, getattr(args, "out", None))
-        return 1
-    except (GraphError, BoundaryError, StructuralError, ConditioningError,
+               "kind": "infeasible" if infeasible else "conditioning"}, report_to)
+        return 1 if infeasible else 3
+    except (GraphError, BoundaryError, StructuralError,
             OSError, KeyError, IndexError, TypeError, ValueError,
             json.JSONDecodeError) as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return 2
-    out = getattr(args, "out", None)
-    if args.command == "realize":
-        _emit(report, None)  # --out already holds the system matrix
-    else:
-        _emit(report, out)
+    _emit(report, report_to)
     return 0 if passed else 1
 
 

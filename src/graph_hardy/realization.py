@@ -7,12 +7,9 @@ A system matrix over a graph is a vertex-graded block operator
 where E1, E2 are spanned by chosen vertex subsets q1, q2, and the state
 space H is a direct sum of fibers H_v of multiplicity m_v.  The dual-edge
 tensor assigns to each edge e a fiber isomorphic to H_{r(e)}, graded by
-the vertex s(e).  Everything is block diagonal over the vertices:
-
-    domain_v   = [v in q1] + m_v
-    codomain_v = [v in q2] + sum over edges e with s(e) = v of m_{r(e)}
-
-and V is a coisometry (V V* = id) iff each vertex block is.
+the vertex s(e).  Everything is block diagonal over the vertices, so V is
+a coisometry (V V* = id) iff each vertex block is; _block_dims states the
+size of a vertex block and _fiber_rows its row and column layout.
 
 The transfer function of a system, evaluated at a dual point eta with
 insertion operator L_eta, is
@@ -51,6 +48,30 @@ class FeasibilityError(ValueError):
 
 class ConditioningError(RuntimeError):
     """Numerics of the Gram construction degraded beyond the tolerances."""
+
+
+def _block_dims(g, q1, q2, m, v):
+    """(domain_v, codomain_v) of the vertex block at v under multiplicities m:
+
+        domain_v   = [v in q1] + m_v
+        codomain_v = [v in q2] + sum over edges e with s(e) = v of m_{r(e)}
+    """
+    return (v in q1) + m[v], (v in q2) + sum(m[g.dst[e]] for e in g.out_edges(v))
+
+
+def _fiber_rows(g, q2, m, v):
+    """Row layout of the vertex block at v: [(e, rows)] for its out-edges.
+
+    A vertex block has the E2 slot as row 0 when v is in q2, then one fiber
+    of m_{r(e)} rows per edge e with s(e) = v, in edge order; its columns
+    are the E1 slot as column 0 when v is in q1, then H_v.
+    """
+    row, out = int(v in q2), []
+    for e in g.out_edges(v):
+        mr = m[g.dst[e]]
+        out.append((e, slice(row, row + mr)))
+        row += mr
+    return out
 
 
 def _as_block(x, shape):
@@ -128,58 +149,46 @@ class SystemMatrix:
         return off
 
     def domain_dim(self, v):
-        return (1 if v in set(self.q1) else 0) + self.m[v]
+        return _block_dims(self.graph, self.q1, self.q2, self.m, v)[0]
 
     def codomain_dim(self, v):
-        return (1 if v in set(self.q2) else 0) + sum(
-            self.m[self.graph.dst[e]] for e in self.graph.out_edges(v))
+        return _block_dims(self.graph, self.q1, self.q2, self.m, v)[1]
 
     def vertex_block(self, v):
-        """The block of V at vertex v: rows are [E2 slot] + out-edge fibers,
-        columns are [E1 slot] + H_v."""
-        g = self.graph
-        dom = self.domain_dim(v)
-        cod = self.codomain_dim(v)
+        """The (codomain_v x domain_v) block of V at vertex v, laid out as
+        in _fiber_rows."""
+        dom, cod = _block_dims(self.graph, self.q1, self.q2, self.m, v)
         blk = np.zeros((cod, dom), dtype=complex)
-        c0 = 1 if v in set(self.q1) else 0
-        r0 = 1 if v in set(self.q2) else 0
-        if v in set(self.q1) and v in set(self.q2):
-            blk[0, 0] = self.A[v]
-        if v in set(self.q2):
+        c0 = int(v in self.q1)
+        if v in self.q2:
             blk[0, c0:] = self.B[v][0]
-        row = r0
-        for e in g.out_edges(v):
-            mr = self.m[g.dst[e]]
-            if v in set(self.q1):
-                blk[row:row + mr, 0:1] = self.C[e]
-            blk[row:row + mr, c0:] = self.D[e]
-            row += mr
+            if v in self.q1:
+                blk[0, 0] = self.A[v]
+        for e, rows in _fiber_rows(self.graph, self.q2, self.m, v):
+            if v in self.q1:
+                blk[rows, 0:1] = self.C[e]
+            blk[rows, c0:] = self.D[e]
         return blk
 
     def assemble(self):
         """Global matrix: rows are q2 slots then edge fibers in edge order,
-        columns are q1 slots then H in vertex order."""
-        g = self.graph
+        columns are q1 slots then H in vertex order.  Each vertex block is
+        scattered into its own rows and columns."""
+        g, m = self.graph, self.m
         n1, n2 = len(self.q1), len(self.q2)
         hoff = self.h_offsets()
-        hdim = self.h_dim()
-        foff, pos = {}, n2
+        fiber, pos = {}, n2  # first row of each edge fiber
         for e in g.edges:
-            mr = self.m[e.dst]
-            foff[e.name] = slice(pos, pos + mr)
-            pos += mr
-        V = np.zeros((pos, n1 + hdim), dtype=complex)
-        q1i = {v: i for i, v in enumerate(self.q1)}
-        q2i = {v: i for i, v in enumerate(self.q2)}
-        for v, a in self.A.items():
-            V[q2i[v], q1i[v]] = a
-        for v in self.q2:
-            V[q2i[v], n1 + hoff[v].start:n1 + hoff[v].stop] = self.B[v][0]
-        for e in g.edges:
-            if e.src in q1i:
-                V[foff[e.name], q1i[e.src]:q1i[e.src] + 1] = self.C[e.name]
-            sl = hoff[e.src]
-            V[foff[e.name], n1 + sl.start:n1 + sl.stop] = self.D[e.name]
+            fiber[e.name] = pos
+            pos += m[e.dst]
+        V = np.zeros((pos, n1 + self.h_dim()), dtype=complex)
+        for v in g.vertices:
+            rows = [self.q2.index(v)] if v in self.q2 else []
+            for e, sl in _fiber_rows(g, self.q2, m, v):
+                rows.extend(range(fiber[e], fiber[e] + sl.stop - sl.start))
+            cols = [self.q1.index(v)] if v in self.q1 else []
+            cols.extend(range(n1 + hoff[v].start, n1 + hoff[v].stop))
+            V[np.array(rows, dtype=int)[:, None], cols] = self.vertex_block(v)
         return V
 
 
@@ -187,6 +196,11 @@ def _spec_norm(M):
     if M.size == 0:
         return 0.0
     return float(np.linalg.norm(M, 2))
+
+
+def _coisometry_gap(M):
+    """||M M* - id|| in the spectral norm."""
+    return _spec_norm(M @ M.conj().T - np.eye(M.shape[0]))
 
 
 def validate_system(s, tol=1e-9):
@@ -200,15 +214,12 @@ def validate_system(s, tol=1e-9):
     n1, n2 = len(s.q1), len(s.q2)
     Am, Bm = V[:n2, :n1], V[:n2, n1:]
     Cm, Dm = V[n2:, :n1], V[n2:, n1:]
-    co_res = _spec_norm(V @ V.conj().T - np.eye(V.shape[0]))
+    co_res = _coisometry_gap(V)
     iso_res = _spec_norm(V.conj().T @ V - np.eye(V.shape[1]))
     cond11 = _spec_norm((np.eye(n2) - Am @ Am.conj().T) - Bm @ Bm.conj().T)
     cond22 = _spec_norm(Cm @ Cm.conj().T - (np.eye(Cm.shape[0]) - Dm @ Dm.conj().T))
     cond12 = _spec_norm(Am @ Cm.conj().T + Bm @ Dm.conj().T)
-    blocks = {}
-    for v in s.graph.vertices:
-        blk = s.vertex_block(v)
-        blocks[v] = _spec_norm(blk @ blk.conj().T - np.eye(blk.shape[0]))
+    blocks = {v: _coisometry_gap(s.vertex_block(v)) for v in s.graph.vertices}
     return {
         "tol": tol,
         "coisometry_residual": co_res,
@@ -373,8 +384,7 @@ def feasible_multiplicities(g, q1, q2, m):
     for _ in range(10000):
         bad = None
         for v in g.vertices:
-            dom = (1 if v in q1 else 0) + m[v]
-            cod = (1 if v in q2 else 0) + sum(m[g.dst[e]] for e in g.out_edges(v))
+            dom, cod = _block_dims(g, q1, q2, m, v)
             if dom < cod:
                 bad = v
                 break
@@ -406,10 +416,9 @@ def random_system(g, rng, mmax=3, q1=None, q2=None):
         qq2, m = feasible_multiplicities(g, q1, qq2, m)
         if qq2 or any(m.values()):
             break
-    s = SystemMatrix(g, m, q1, qq2)
     blocks = {}
     for v in g.vertices:
-        dom, cod = s.domain_dim(v), s.codomain_dim(v)
+        dom, cod = _block_dims(g, q1, qq2, m, v)
         blocks[v] = _haar_unitary(rng, dom)[:cod, :]
     return _system_from_vertex_blocks(g, m, q1, qq2, blocks)
 
@@ -420,19 +429,15 @@ def _system_from_vertex_blocks(g, m, q1, q2, blocks):
     A, B, C, D = {}, {}, {}, {}
     for v in g.vertices:
         blk = blocks[v]
-        c0 = 1 if v in q1s else 0
-        r0 = 1 if v in q2s else 0
-        if v in q1s and v in q2s:
-            A[v] = complex(blk[0, 0])
+        c0 = int(v in q1s)
         if v in q2s:
             B[v] = blk[0:1, c0:]
-        row = r0
-        for e in g.out_edges(v):
-            mr = m[g.dst[e]]
             if v in q1s:
-                C[e] = blk[row:row + mr, 0:1]
-            D[e] = blk[row:row + mr, c0:]
-            row += mr
+                A[v] = complex(blk[0, 0])
+        for e, rows in _fiber_rows(g, q2s, m, v):
+            if v in q1s:
+                C[e] = blk[rows, 0:1]
+            D[e] = blk[rows, c0:]
     return SystemMatrix(g, m, q1, q2, A, B, C, D)
 
 
@@ -446,14 +451,14 @@ def _pad_multiplicities(g, q1, q2, m, max_total=4000):
     we report infeasibility instead."""
     q1s, q2s = set(q1), set(q2)
     p = {v: 0 for v in g.vertices}
+    mp = dict(m)  # m + p, kept in step with p
     for _ in range(10000):
         changed = False
         for v in g.vertices:
-            dom = (1 if v in q1s else 0) + m[v] + p[v]
-            cod = (1 if v in q2s else 0) + sum(m[g.dst[e]] + p[g.dst[e]]
-                                               for e in g.out_edges(v))
+            dom, cod = _block_dims(g, q1s, q2s, mp, v)
             if dom < cod:
                 p[v] += cod - dom
+                mp[v] += cod - dom
                 changed = True
         if not changed:
             return p, True
@@ -466,13 +471,11 @@ def _complete_block(blk, rank_tol=1e-8):
     """Extend a partial isometry (cod x dom) to a coisometry when dom allows.
 
     Pairs an orthonormal basis of the cokernel with unused domain
-    directions; returns (completed block, leftover codomain dimensions).
+    directions; codomain directions left over stay unpaired.
     """
     cod, dom = blk.shape
-    if cod == 0:
-        return blk, 0
-    if dom == 0:
-        return blk, cod
+    if cod == 0 or dom == 0:
+        return blk
     W, sig, Th = np.linalg.svd(blk, full_matrices=False)
     r = int(np.sum(sig > rank_tol * max(1.0, sig[0] if sig.size else 1.0)))
     Wr = W[:, :r]
@@ -480,11 +483,10 @@ def _complete_block(blk, rank_tol=1e-8):
     w_extra = scipy.linalg.null_space(Wr.conj().T) if r < cod else np.zeros((cod, 0))
     t_extra = scipy.linalg.null_space(Tr.conj().T) if r < dom else np.zeros((dom, 0))
     t = min(w_extra.shape[1], t_extra.shape[1])
-    out = blk + w_extra[:, :t] @ t_extra[:, :t].conj().T
-    return out, w_extra.shape[1] - t
+    return blk + w_extra[:, :t] @ t_extra[:, :t].conj().T
 
 
-def realize_from_samples(points, values, q1, q2, tol=1e-9, rank_tol=None):
+def realize_from_samples(points, values, q1, q2, tol=1e-9, rank_tol=1e-9):
     """Build a system matrix whose transfer interpolates the given samples.
 
     points: dual points in the open ball; values: nv x nv sample matrices
@@ -499,8 +501,6 @@ def realize_from_samples(points, values, q1, q2, tol=1e-9, rank_tol=None):
     ranks.  The transfer of the result reproduces the samples; away from
     the samples it is one specific Schur-class interpolant.
     """
-    if rank_tol is None:
-        rank_tol = 1e-9
     k = len(points)
     if k == 0 or len(values) != k:
         raise ValueError("need one value matrix per point")
@@ -508,15 +508,16 @@ def realize_from_samples(points, values, q1, q2, tol=1e-9, rank_tol=None):
     nv = g.nv
     q1t = tuple(v for v in g.vertices if v in set(q1))
     q2t = tuple(v for v in g.vertices if v in set(q2))
-    Z = [np.asarray(z, dtype=complex) for z in values]
-    scale = max(1.0, max(np.abs(z).max(initial=0.0) for z in Z))
-    q1s, q2s = set(q1t), set(q2t)
-    for z in Z:
-        for a in range(nv):
-            for b in range(nv):
-                if abs(z[a, b]) > 1e-9 * scale and not (
-                        g.vertices[a] in q2s and g.vertices[b] in q1s):
-                    raise GraphError("sample values must be supported on q2 x q1")
+    Z = np.asarray(values, dtype=complex)
+    if Z.shape != (k, nv, nv):
+        raise GraphError("sample values must be %d x %d matrices" % (nv, nv))
+    scale = max(1.0, float(np.abs(Z).max(initial=0.0)))
+    w1 = [g.vindex[v] for v in q1t]
+    w2 = [g.vindex[w] for w in q2t]
+    off_support = np.ones((nv, nv), dtype=bool)
+    off_support[np.ix_(w2, w1)] = False
+    if np.any((np.abs(Z) > 1e-9 * scale) & off_support):
+        raise GraphError("sample values must be supported on q2 x q1")
 
     kern = schur_kernel_matrix(points, Z)
     cp = is_completely_positive(kern, tol=tol)
@@ -528,58 +529,41 @@ def realize_from_samples(points, values, q1, q2, tol=1e-9, rank_tol=None):
     # Gram spaces: one per vertex, spanned by symbols (point i, vertex w)
     phi = {}
     m = {}
-    ranks = {}
     for u, v in enumerate(g.vertices):
         ch = kern.choi_block(u)
         lam, U = np.linalg.eigh(0.5 * (ch + ch.conj().T))
         lmax = float(lam.max(initial=0.0))
         keep = lam > rank_tol * max(lmax, 0.0) if lmax > 0 else lam > np.inf
-        r = int(np.sum(keep))
         lam_r = np.clip(lam[keep], 0.0, None)
         phi[v] = (np.sqrt(lam_r)[:, None] * U[:, keep].conj().T)  # (r, k*nv)
-        m[v] = r
-        ranks[v] = r
+        m[v] = int(np.sum(keep))
 
     pad, pad_ok = _pad_multiplicities(g, q1t, q2t, m)
     mp = {v: m[v] + pad[v] for v in g.vertices}
 
-    def phi_col(v, i, w_idx):
-        col = np.zeros(mp[v], dtype=complex)
-        col[:m[v]] = phi[v][:, i * nv + w_idx]
-        return col
-
-    sys0 = SystemMatrix(g, mp, q1t, q2t)  # for index bookkeeping only
+    # cols[v][i, j]: the Gram vector of the symbol (i, q2[j]) in H_v, zero-padded to mp[v]
+    cols = {}
+    for v in g.vertices:
+        cols[v] = np.zeros((k, len(w2), mp[v]), dtype=complex)
+        cols[v][:, :, :m[v]] = phi[v].reshape(m[v], k, nv)[:, :, w2].transpose(1, 2, 0)
+    weights = np.array([p.weights for p in points])
     blocks = {}
     iso_dev = 0.0
     for v in g.vertices:
-        dom, cod = sys0.domain_dim(v), sys0.codomain_dim(v)
-        vi = g.vindex[v]
-        cols_u, cols_y = [], []
-        for i in range(k):
-            for w in q2t:
-                wi = g.vindex[w]
-                uvec = np.zeros(dom, dtype=complex)
-                yvec = np.zeros(cod, dtype=complex)
-                c0 = 1 if v in q1s else 0
-                if v in q1s:
-                    uvec[0] = np.conj(Z[i][wi, vi])
-                uvec[c0:] = phi_col(v, i, wi)
-                r0 = 1 if v in q2s else 0
-                if v in q2s and w == v:
-                    yvec[0] = 1.0
-                row = r0
-                for e in g.out_edges(v):
-                    mr = mp[g.dst[e]]
-                    yvec[row:row + mr] = points[i].weights[g.eindex[e]] * phi_col(g.dst[e], i, wi)
-                    row += mr
-                cols_u.append(uvec)
-                cols_y.append(yvec)
-        if cols_u:
-            Umat = np.array(cols_u, dtype=complex).T
-            Ymat = np.array(cols_y, dtype=complex).T
-        else:
-            Umat = np.zeros((dom, 0), dtype=complex)
-            Ymat = np.zeros((cod, 0), dtype=complex)
+        dom, cod = _block_dims(g, q1t, q2t, mp, v)
+        # one row per symbol (i, w); the lurking isometry maps u_(v,i,w) to y_(v,i,w)
+        U = np.zeros((k, len(w2), dom), dtype=complex)
+        Y = np.zeros((k, len(w2), cod), dtype=complex)
+        c0 = int(v in q1t)
+        if c0:
+            U[:, :, 0] = np.conj(Z[:, w2, g.vindex[v]])
+        U[:, :, c0:] = cols[v]
+        if v in q2t:
+            Y[:, q2t.index(v), 0] = 1.0
+        for e, rows in _fiber_rows(g, q2t, mp, v):
+            Y[:, :, rows] = weights[:, g.eindex[e], None, None] * cols[g.dst[e]]
+        Umat = U.reshape(k * len(w2), dom).T
+        Ymat = Y.reshape(k * len(w2), cod).T
         gram_gap = np.abs(Umat.conj().T @ Umat - Ymat.conj().T @ Ymat).max(initial=0.0)
         iso_dev = max(iso_dev, float(gram_gap))
         if gram_gap > 1e-6 * (1.0 + scale ** 2):
@@ -594,21 +578,20 @@ def realize_from_samples(points, values, q1, q2, tol=1e-9, rank_tol=None):
             v0 = (Ymat @ coeff) @ W[:, :r].conj().T
         else:
             v0 = np.zeros((cod, dom), dtype=complex)
-        blk, defect = _complete_block(v0)
-        blocks[v] = blk
+        blocks[v] = _complete_block(v0)
 
     system = _system_from_vertex_blocks(g, mp, q1t, q2t, blocks)
-    val = validate_system(system, tol=max(tol, 1e-9))
+    co_res = _coisometry_gap(system.assemble())
     interp = 0.0
     for i in range(k):
         interp = max(interp, float(np.abs(transfer_eval(system, points[i]) - Z[i]).max(initial=0.0)))
     report = {
         "multiplicities": dict(mp),
-        "gram_ranks": ranks,
+        "gram_ranks": m,
         "padding": pad,
         "padding_feasible": pad_ok,
         "isometry_gap": iso_dev,
-        "coisometry_residual": val["coisometry_residual"],
+        "coisometry_residual": co_res,
         "interpolation_residual": interp,
         "cp_worst_min_eig": cp["worst_min_eig"],
     }

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line front end (in-process)."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from graph_hardy import (
     HardyPoly,
     SystemMatrix,
     central_to_dict,
+    certify_contraction,
     evaluate_poly,
     graph_to_dict,
     load_system,
@@ -23,6 +25,8 @@ from graph_hardy import (
     mobius_apply,
     point_to_dict,
     poly_to_terms,
+    random_point,
+    random_poly,
     system_to_dict,
     transfer_eval,
     two_vertex_example,
@@ -220,6 +224,34 @@ def test_realize_infeasible_exit_code(capsys, tmp_path, loop_file):
     assert code == 1
     assert rep["kind"] == "infeasible"
     assert not rep["passed"]
+    # --out names the system file; a failure report still goes to stdout
+    sysout = tmp_path / "sys.json"
+    code, rep, _ = run_cli(capsys, ["realize", "--graph", loop_file, "--points", f,
+                                    "--out", str(sysout)])
+    assert code == 1
+    assert rep["kind"] == "infeasible"
+    assert not sysout.exists()
+
+
+def test_realize_conditioning_exit_code(capsys, tmp_path, graph_file):
+    # item-2 corpus seed 101 at k = 10: Schur-class data on which the Gram
+    # construction breaks down numerically; that is not malformed input
+    g = two_vertex_example()
+    rng = np.random.default_rng(101)
+    x, _ = certify_contraction(random_poly(g, rng, degree=2), 9)
+    pts = [random_point(g, rng, max_norm=0.8) for _ in range(10)]
+    vals = [evaluate_poly(x, p) for p in pts]
+    payload = {"points": [point_to_dict(p) for p in pts],
+               "values": [[[[z.real, z.imag] for z in row] for row in v] for v in vals],
+               "q1": list(g.vertices), "q2": list(g.vertices)}
+    f = write_json(tmp_path / "corpus101.json", payload)
+    sysout = tmp_path / "sys.json"
+    code, rep, err = run_cli(capsys, ["realize", "--graph", graph_file, "--points", f,
+                                      "--out", str(sysout)])
+    assert code == 3 and err == ""
+    assert rep == {"command": "realize", "passed": False, "kind": "conditioning",
+                   "error": "realized transfer misses the samples by 4.955e-04"}
+    assert not sysout.exists()
 
 
 def test_mobius_command(capsys, tmp_path, graph_file):
@@ -263,8 +295,12 @@ def declared_script_target(name):
 def test_module_and_script_entry_points(tmp_path):
     gfile = tmp_path / "g.json"
     gfile.write_text(json.dumps(graph_to_dict(two_vertex_example())))
+    # the subprocesses import the package under test, wherever pytest found it
+    package_dir = str(Path(graph_hardy.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_dir, env.get("PYTHONPATH")]))
     r = subprocess.run([sys.executable, "-m", "graph_hardy.cli", "validate-graph",
-                        "--graph", str(gfile)], capture_output=True, text=True)
+                        "--graph", str(gfile)], capture_output=True, text=True, env=env)
     assert r.returncode == 0
     assert json.loads(r.stdout)["passed"]
     # run the declared entry point the way the launcher pip writes for it does
@@ -272,7 +308,7 @@ def test_module_and_script_entry_points(tmp_path):
     launcher = ("import sys; from %s import %s; sys.argv[0] = 'graph-hardy'; "
                 "sys.exit(%s())" % (module, attr, attr))
     r = subprocess.run([sys.executable, "-c", launcher, "fock-check", "--graph",
-                        str(gfile), "--N", "3"], capture_output=True, text=True)
+                        str(gfile), "--N", "3"], capture_output=True, text=True, env=env)
     assert r.returncode == 0
 
 

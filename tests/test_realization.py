@@ -30,7 +30,7 @@ from graph_hardy import (
     two_vertex_example,
     validate_system,
 )
-from graph_hardy.realization import load_system
+from graph_hardy.realization import _system_from_vertex_blocks, load_system
 from conftest import random_graph
 
 
@@ -64,6 +64,63 @@ def test_assemble_block_placement_frozen():
     # rows: [q2 v] then fibers e (2 rows), f (1), g (2); cols: q1 v, w then H
     np.testing.assert_allclose(V[4:6, 3:5], [[1.0, 2.0], [3.0, 4.0]])
     assert np.abs(V).sum() == 10.0  # nothing else was placed
+
+
+def _scatter_by_labels(s):
+    """assemble() rebuilt from the vertex blocks by naming every row and column:
+    rows are q2 slots then edge fibers in edge order, columns q1 slots then H."""
+    g = s.graph
+    row_labels = [("E2", w) for w in s.q2] + [
+        (e.name, j) for e in g.edges for j in range(s.m[e.dst])]
+    col_labels = [("E1", u) for u in s.q1] + [
+        ("H", u, j) for u in g.vertices for j in range(s.m[u])]
+    rpos = {lab: i for i, lab in enumerate(row_labels)}
+    cpos = {lab: i for i, lab in enumerate(col_labels)}
+    V = np.zeros((len(row_labels), len(col_labels)), dtype=complex)
+    for v in g.vertices:
+        rows = [("E2", v)] * (v in s.q2) + [
+            (e, j) for e in g.out_edges(v) for j in range(s.m[g.dst[e]])]
+        cols = [("E1", v)] * (v in s.q1) + [("H", v, j) for j in range(s.m[v])]
+        blk = s.vertex_block(v)
+        assert blk.shape == (len(rows), len(cols))
+        for a, r in enumerate(rows):
+            for b, c in enumerate(cols):
+                V[rpos[r], cpos[c]] = blk[a, b]
+    return V
+
+
+def test_vertex_block_layout_roundtrip():
+    # seeds of conftest.random_graph with parallel edges, a sink and a source
+    seen = set()
+    for seed in (12, 28, 45):
+        g = random_graph(np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        subsets = [(None, None), ((), None), (g.vertices, ()),
+                   ((g.vertices[0],), (g.vertices[-1],)), ((), ())]
+        for q1, q2 in subsets:
+            s = random_system(g, rng, q1=q1, q2=q2)
+            back = _system_from_vertex_blocks(
+                g, s.m, s.q1, s.q2, {v: s.vertex_block(v) for v in g.vertices})
+            assert back.A == s.A
+            for mine, theirs in ((back.B, s.B), (back.C, s.C), (back.D, s.D)):
+                assert mine.keys() == theirs.keys()
+                for key in mine:
+                    np.testing.assert_array_equal(mine[key], theirs[key])
+            # coisometries keep blocks small; arbitrary blocks at unshrunk
+            # multiplicities give vertex blocks with several wide fibers
+            m = {v: int(rng.integers(0, 4)) for v in g.vertices}
+            shape = SystemMatrix(g, m, s.q1, s.q2)
+            blocks = {v: rng.standard_normal((shape.codomain_dim(v), shape.domain_dim(v)))
+                      + 0j for v in g.vertices}
+            t = _system_from_vertex_blocks(g, m, s.q1, s.q2, blocks)
+            for v in g.vertices:
+                np.testing.assert_array_equal(t.vertex_block(v), blocks[v])
+            for sys_ in (s, t):
+                np.testing.assert_array_equal(sys_.assemble(), _scatter_by_labels(sys_))
+                flags = {"empty q1": not sys_.q1, "empty q2": not sys_.q2,
+                         "zero m": 0 in sys_.m.values(), "nonzero m": any(sys_.m.values())}
+                seen.update(name for name, hit in flags.items() if hit)
+    assert seen == {"empty q1", "empty q2", "zero m", "nonzero m"}
 
 
 def test_block_support_validation():
@@ -173,6 +230,7 @@ def test_realize_loop_shift_exact():
     pts = [make_dual_point(g, {"g": c}) for c in (0.55, -0.35, 0.2 + 0.4j, -0.1 - 0.5j)]
     vals = [evaluate_poly(x, p) for p in pts]
     s, rep = realize_from_samples(pts, vals, list(g.vertices), list(g.vertices))
+    assert rep["coisometry_residual"] == validate_system(s)["coisometry_residual"]
     assert rep["multiplicities"] == {"v": 1, "w": 1}
     assert rep["gram_ranks"] == {"v": 1, "w": 1}
     assert rep["interpolation_residual"] < 1e-12
@@ -193,9 +251,31 @@ def test_realize_generic_data_is_interpolant_only():
     s, rep = realize_from_samples(pts, vals, list(g.vertices), list(g.vertices))
     assert rep["interpolation_residual"] < 1e-8
     assert not rep["padding_feasible"]
+    assert rep["coisometry_residual"] == validate_system(s)["coisometry_residual"]
     held = [random_point(g, rng, max_norm=0.55, min_norm=0.2) for _ in range(4)]
     dev = max(np.abs(transfer_eval(s, h) - evaluate_poly(x, h)).max() for h in held)
     assert dev > 1e-4  # one Schur-class interpolant among many, not X itself
+
+
+def test_realize_sink_with_empty_input_or_output_set():
+    # v -> w: w is a sink and v a source.  With q1 or q2 empty the samples
+    # must vanish and the realized transfer is zero; with q1 = {v} and
+    # q2 = {w} the samples of 0.6 S_e are matched through the sink's fiber.
+    g = Graph(["v", "w"], [("e", "v", "w")])
+    x = 0.6 * HardyPoly.shift(g, "e")
+    pts = [make_dual_point(g, {"e": c}) for c in (0.3, -0.5j, 0.6 + 0.1j)]
+    held = make_dual_point(g, {"e": -0.2 + 0.4j})
+    zero = [np.zeros((2, 2))] * len(pts)
+    cases = [([], ["v", "w"], zero, 0 * x), (["v", "w"], [], zero, 0 * x),
+             (["v"], ["w"], [evaluate_poly(x, p) for p in pts], x)]
+    for q1, q2, vals, oracle in cases:
+        s, rep = realize_from_samples(pts, vals, q1, q2)
+        assert s.q1 == tuple(q1) and s.q2 == tuple(q2)
+        assert rep["padding_feasible"]
+        assert rep["interpolation_residual"] < 1e-12
+        assert rep["coisometry_residual"] == validate_system(s)["coisometry_residual"]
+        assert rep["coisometry_residual"] < 1e-12
+        assert np.abs(transfer_eval(s, held) - evaluate_poly(oracle, held)).max() < 1e-12
 
 
 def test_realize_rejects_expansive_data():
