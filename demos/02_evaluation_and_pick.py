@@ -57,15 +57,16 @@ for c, label in [(c_good, "samples of 0.6 z"), (c_bad, "steep data")]:
     print("\n%-18s feasible: %-5s  min eigenvalue: % .6f"
           % (label, rep["feasible"], rep["worst_min_eig"]))
 
-# --- Schur-class certificate on the worked graph --------------------------
-# rescale a random polynomial by its Fock compression norm: the sample
-# kernel of the rescaled polynomial is completely positive
+# --- Schur-class test on the worked graph ----------------------------------
+# rescale a random polynomial by its Fock compression norm, a lower bound
+# for its norm, and test the sample kernel of the rescaled polynomial for
+# complete positivity (a necessary condition for a contraction)
 rng = np.random.default_rng(0)
 xc, bound = certify_contraction(random_poly(g, rng, degree=2), 9)
 sample_pts = [random_point(g, rng, max_norm=0.8) for _ in range(4)]
 vals = [evaluate_poly(xc, p) for p in sample_pts]
 rep = schur_class_check(sample_pts, vals)
-print("\ncertified contraction (norm bound %.6f):" % bound)
+print("\nrescaled by its N = 9 compression norm %.6f (a lower bound):" % bound)
 print("sample kernel CP:", rep["cp"], " min eigenvalue: %.3e" % rep["worst_min_eig"])
 
 # the same test rejects a polynomial of norm 1.5

@@ -50,9 +50,7 @@ from .dual_eval import (
     point_to_dict,
     random_point,
     resolvent_matrix,
-    theta_map,
     theta_matrix,
-    theta_resolvent,
     zero_point,
 )
 from .pick_kernel import (

@@ -144,27 +144,10 @@ def theta_matrix(p1, p2):
     return _theta_stack(p1.graph, [p1], [p2])[0, 0]
 
 
-def theta_map(p1, p2, a):
-    """Apply theta_{p1, p2} to the vertex function a."""
-    from .graph_core import as_vertex_function
-    a = as_vertex_function(p1.graph, a)
-    return theta_matrix(p1, p2) @ a
-
-
 def resolvent_matrix(p1, p2):
     """Matrix of (id - theta_{p1, p2})^{-1}; defined whenever
     ||p1|| * ||p2|| < 1, which makes the Neumann series converge."""
     return _resolvent_stack(p1.graph, [p1], [p2])[0, 0]
-
-
-def theta_resolvent(p1, p2, a):
-    """Solve (id - theta_{p1, p2}) x = a directly (no series truncation)."""
-    from .graph_core import as_vertex_function
-    g = p1.graph
-    a = as_vertex_function(g, a)
-    th = theta_matrix(p1, p2)
-    return np.linalg.solve(np.eye(g.nv, dtype=complex) - th, a)
-
 
 # ---------------------------------------------------------------------------
 # evaluation

@@ -88,10 +88,6 @@ class HardyPoly:
             path = edges[0]
         return cls(graph, {path: 1.0})
 
-    @classmethod
-    def monomial(cls, graph, path, c=1.0):
-        return cls(graph, {path: c})
-
     # algebra --------------------------------------------------------------
     def degree(self):
         return max((0 if isinstance(p, str) else len(p) for p in self.coeffs), default=0)
@@ -301,9 +297,12 @@ def fock_norm_bound(x, N):
 def certify_contraction(x, N, slack=1e-6):
     """Rescale x by 1 / (fock_norm_bound(x, N) * (1 + slack)).
 
-    The bound is only a lower bound for the true norm, so the rescaled
-    polynomial is a certified contraction once N is large enough that the
-    compression norm has converged to within the slack.  Returns
+    The bound is only a lower bound for the true norm, so nothing here
+    certifies that the result is a contraction: it is one only if the
+    compression norm at N is within the slack of the true norm.  That can
+    fail at desk-scale N; for random degree-2 polynomials on the two-vertex
+    graph the compression norm still grows by 0.9-2.7 % from N = 9 to
+    N = 17, so rescaling at N = 9 leaves norms of at least 1.009.  Returns
     (rescaled_poly, bound).
     """
     bound = fock_norm_bound(x, N)

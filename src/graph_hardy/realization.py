@@ -7,19 +7,24 @@ A system matrix over a graph is a vertex-graded block operator
 where E1, E2 are spanned by chosen vertex subsets q1, q2, and the state
 space H is a direct sum of fibers H_v of multiplicity m_v.  The dual-edge
 tensor assigns to each edge e a fiber isomorphic to H_{r(e)}, graded by
-the vertex s(e).  Everything is block diagonal over the vertices, so V is
-a coisometry (V V* = id) iff each vertex block is; _block_dims states the
-size of a vertex block and _fiber_rows its row and column layout.
+the vertex s(e).  A SystemMatrix stores the assembled V and nothing
+else: its rows are the q2 slots, then one fiber per edge in edge order,
+and its columns are the q1 slots, then H in vertex order.  A, B, C, D and
+the vertex blocks are read off it as slices.  Everything is block
+diagonal over the vertices, so V is a coisometry (V V* = id) iff each
+vertex block is; _block_dims states the size of a vertex block and
+_fiber_rows its row and column layout.
 
 The transfer function of a system, evaluated at a dual point eta with
 insertion operator L_eta, is
 
     Z(eta*) = A + B (id - L* D)^{-1} L* C,
 
-an nv x nv matrix supported on q2 x q1 rows/columns.  L* carries the
-fiber of the edge e into H_{r(e)} with the factor conj(weight(e)); since
-||L*|| = ||eta|| < 1 and ||D|| <= 1 the resolvent is a convergent
-geometric series whose n-th term gives the degree-n Taylor coefficient
+an nv x nv matrix supported on q2 x q1 rows/columns.  L* adds
+conj(weight(e)) times the fiber rows of the edge e into the rows of
+H_{r(e)}; since ||L*|| = ||eta|| < 1 and ||D|| <= 1 the resolvent is a
+convergent geometric series whose n-th term gives the degree-n Taylor
+coefficient
 
     coeff(e1 ... en) = B_{r(e1)} D^{(e1)} ... D^{(e n-1)} C^{(en)}.
 
@@ -36,8 +41,7 @@ import json
 import numpy as np
 import scipy.linalg
 
-from .graph_core import GraphError, _complex_from_json, _complex_to_json
-from .dual_eval import evaluate_poly  # noqa: F401  (re-exported for demos)
+from .graph_core import Graph, GraphError, _PathIndex, _complex_from_json, _complex_to_json
 from .fock import HardyPoly
 from .pick_kernel import schur_kernel_matrix, is_completely_positive
 
@@ -74,6 +78,15 @@ def _fiber_rows(g, q2, m, v):
     return out
 
 
+def _vertex_subset(g, q):
+    """The vertex names in q, in vertex order; an unknown name raises GraphError."""
+    q = list(q)
+    for v in q:
+        if v not in g.vindex:
+            raise GraphError("unknown vertex %r in q1/q2" % (v,))
+    return tuple(v for v in g.vertices if v in q)
+
+
 def _as_block(x, shape):
     m = np.asarray(x, dtype=complex)
     if m.shape != shape:
@@ -92,50 +105,70 @@ class SystemMatrix:
     D: dict e -> (m_{r(e)}, m_{s(e)}) array
 
     Missing blocks default to zero; blocks outside the allowed support
-    raise GraphError.
+    raise GraphError.  The blocks are scattered once into the assembled
+    matrix V, which is all the object keeps; the A, B, C, D attributes
+    are read back from it, the arrays as views.
     """
 
     def __init__(self, graph, multiplicities, q1, q2, A=None, B=None, C=None, D=None):
-        self.graph = graph
+        self.graph = g = graph
         for v in multiplicities:
-            if v not in graph.vindex:
+            if v not in g.vindex:
                 raise GraphError("multiplicity for unknown vertex %r" % (v,))
-        self.m = {v: int(multiplicities.get(v, 0)) for v in graph.vertices}
+        self.m = {v: int(multiplicities.get(v, 0)) for v in g.vertices}
         if any(mv < 0 for mv in self.m.values()):
             raise GraphError("multiplicities must be nonnegative")
-        for v in list(q1) + list(q2):
-            if v not in graph.vindex:
-                raise GraphError("unknown vertex %r in q1/q2" % (v,))
-        self.q1 = tuple(v for v in graph.vertices if v in set(q1))
-        self.q2 = tuple(v for v in graph.vertices if v in set(q2))
+        self.q1 = _vertex_subset(g, q1)
+        self.q2 = _vertex_subset(g, q2)
 
-        A = dict(A or {})
-        B = dict(B or {})
-        C = dict(C or {})
-        D = dict(D or {})
-        both = set(self.q1) & set(self.q2)
-        for v in A:
-            if v not in both:
+        # where each slot lives in V: E1/E2 slot indices, H_v columns, edge fibers
+        n1 = len(self.q1)
+        self._in = {v: i for i, v in enumerate(self.q1)}
+        self._out = {v: i for i, v in enumerate(self.q2)}
+        self._hcols = {v: slice(n1 + sl.start, n1 + sl.stop) for v, sl in self.h_offsets().items()}
+        self._fiber, row = {}, len(self.q2)
+        for e in g.edges:
+            self._fiber[e.name] = slice(row, row + self.m[e.dst])
+            row += self.m[e.dst]
+        self._V = V = np.zeros((row, n1 + self.h_dim()), dtype=complex)
+
+        for v, a in (A or {}).items():
+            if v not in self._in or v not in self._out:
                 raise GraphError("A block at %r outside q1 and q2" % (v,))
-        self.A = {v: complex(A.get(v, 0.0)) for v in both}
-        for v in B:
-            if v not in set(self.q2):
+            V[self._out[v], self._in[v]] = complex(a)
+        for v, b in (B or {}).items():
+            if v not in self._out:
                 raise GraphError("B block at %r outside q2" % (v,))
-        self.B = {v: _as_block(B.get(v, np.zeros((1, self.m[v]))), (1, self.m[v]))
-                  for v in self.q2}
-        for e in C:
-            if e not in graph.eindex or graph.src[e] not in set(self.q1):
+            V[self._out[v], self._hcols[v]] = _as_block(b, (1, self.m[v]))[0]
+        for e, c in (C or {}).items():
+            if e not in g.eindex or g.src[e] not in self._in:
                 raise GraphError("C block at %r needs an edge with source in q1" % (e,))
-        for e in D:
-            if e not in graph.eindex:
+            V[self._fiber[e], self._in[g.src[e]]] = _as_block(c, (self.m[g.dst[e]], 1))[:, 0]
+        for e, d in (D or {}).items():
+            if e not in g.eindex:
                 raise GraphError("D block at unknown edge %r" % (e,))
-        self.C = {}
-        self.D = {}
-        for e in graph.edges:
-            mr, ms = self.m[e.dst], self.m[e.src]
-            if e.src in set(self.q1):
-                self.C[e.name] = _as_block(C.get(e.name, np.zeros((mr, 1))), (mr, 1))
-            self.D[e.name] = _as_block(D.get(e.name, np.zeros((mr, ms))), (mr, ms))
+            shape = (self.m[g.dst[e]], self.m[g.src[e]])
+            V[self._fiber[e], self._hcols[g.src[e]]] = _as_block(d, shape)
+
+    # blocks, read from V --------------------------------------------------
+    @property
+    def A(self):
+        return {v: complex(self._V[self._out[v], i]) for v, i in self._in.items()
+                if v in self._out}
+
+    @property
+    def B(self):
+        return {v: self._V[i:i + 1, self._hcols[v]] for v, i in self._out.items()}
+
+    @property
+    def C(self):
+        return {e.name: self._V[self._fiber[e.name], self._in[e.src]:self._in[e.src] + 1]
+                for e in self.graph.edges if e.src in self._in}
+
+    @property
+    def D(self):
+        return {e.name: self._V[self._fiber[e.name], self._hcols[e.src]]
+                for e in self.graph.edges}
 
     # index bookkeeping ----------------------------------------------------
     def h_dim(self):
@@ -148,48 +181,25 @@ class SystemMatrix:
             pos += self.m[v]
         return off
 
-    def domain_dim(self, v):
-        return _block_dims(self.graph, self.q1, self.q2, self.m, v)[0]
-
-    def codomain_dim(self, v):
-        return _block_dims(self.graph, self.q1, self.q2, self.m, v)[1]
+    def _block_index(self, v):
+        """np.ix_ index of the vertex block at v in V, rows and columns in
+        the order of _fiber_rows."""
+        rows = [self._out[v]] if v in self._out else []
+        for e, _ in _fiber_rows(self.graph, self.q2, self.m, v):
+            rows.extend(range(self._fiber[e].start, self._fiber[e].stop))
+        cols = [self._in[v]] if v in self._in else []
+        cols.extend(range(self._hcols[v].start, self._hcols[v].stop))
+        return np.ix_(rows, cols)
 
     def vertex_block(self, v):
         """The (codomain_v x domain_v) block of V at vertex v, laid out as
-        in _fiber_rows."""
-        dom, cod = _block_dims(self.graph, self.q1, self.q2, self.m, v)
-        blk = np.zeros((cod, dom), dtype=complex)
-        c0 = int(v in self.q1)
-        if v in self.q2:
-            blk[0, c0:] = self.B[v][0]
-            if v in self.q1:
-                blk[0, 0] = self.A[v]
-        for e, rows in _fiber_rows(self.graph, self.q2, self.m, v):
-            if v in self.q1:
-                blk[rows, 0:1] = self.C[e]
-            blk[rows, c0:] = self.D[e]
-        return blk
+        in _fiber_rows (a copy)."""
+        return self._V[self._block_index(v)]
 
     def assemble(self):
-        """Global matrix: rows are q2 slots then edge fibers in edge order,
-        columns are q1 slots then H in vertex order.  Each vertex block is
-        scattered into its own rows and columns."""
-        g, m = self.graph, self.m
-        n1, n2 = len(self.q1), len(self.q2)
-        hoff = self.h_offsets()
-        fiber, pos = {}, n2  # first row of each edge fiber
-        for e in g.edges:
-            fiber[e.name] = pos
-            pos += m[e.dst]
-        V = np.zeros((pos, n1 + self.h_dim()), dtype=complex)
-        for v in g.vertices:
-            rows = [self.q2.index(v)] if v in self.q2 else []
-            for e, sl in _fiber_rows(g, self.q2, m, v):
-                rows.extend(range(fiber[e], fiber[e] + sl.stop - sl.start))
-            cols = [self.q1.index(v)] if v in self.q1 else []
-            cols.extend(range(n1 + hoff[v].start, n1 + hoff[v].stop))
-            V[np.array(rows, dtype=int)[:, None], cols] = self.vertex_block(v)
-        return V
+        """Global matrix V (a copy): rows are q2 slots then edge fibers in
+        edge order, columns are q1 slots then H in vertex order."""
+        return self._V.copy()
 
 
 def _spec_norm(M):
@@ -210,7 +220,7 @@ def validate_system(s, tol=1e-9):
     id - A A* = B B*, C C* = id - D D*, A C* = -B D*, the per-vertex
     coisometry residuals, and ||V* V - id|| for the unitary case.
     """
-    V = s.assemble()
+    V = s._V
     n1, n2 = len(s.q1), len(s.q2)
     Am, Bm = V[:n2, :n1], V[:n2, n1:]
     Cm, Dm = V[n2:, :n1], V[n2:, n1:]
@@ -238,43 +248,30 @@ def validate_system(s, tol=1e-9):
 def _insertion_blocks(s, point):
     """(LD, LC): the maps L* D on H and L* C from the q1 slots into H.
 
-    L* carries the fiber of edge e into H_{r(e)} with factor conj(w_e), so
-    LD adds conj(w_e) D^{(e)} into the (r(e), s(e)) block and column v of
-    LC collects conj(w_e) C^{(e)} over the edges with source v.
+    L* adds conj(w_e) times the fiber rows of e, which hold C^{(e)} and
+    D^{(e)}, into the rows of H_{r(e)}.
     """
-    g = s.graph
     hoff = s.h_offsets()
-    hdim = s.h_dim()
-    LD = np.zeros((hdim, hdim), dtype=complex)
-    LC = np.zeros((hdim, len(s.q1)), dtype=complex)
+    LV = np.zeros((s.h_dim(), s._V.shape[1]), dtype=complex)
     cw = np.conj(point.weights)
-    for i, e in enumerate(g.edges):
-        if s.m[e.dst] == 0:
-            continue
-        if s.m[e.src] > 0:
-            LD[hoff[e.dst], hoff[e.src]] += cw[i] * s.D[e.name]
-    for col, v in enumerate(s.q1):
-        for e in g.out_edges(v):
-            i = g.eindex[e]
-            if s.m[g.dst[e]] == 0:
-                continue
-            LC[hoff[g.dst[e]], col:col + 1] += cw[i] * s.C[e]
-    return LD, LC
+    for i, e in enumerate(s.graph.edges):
+        LV[hoff[e.dst]] += cw[i] * s._V[s._fiber[e.name]]
+    n1 = len(s.q1)
+    return LV[:, n1:], LV[:, :n1]
 
 
 def _embed_output(s, X):
-    """Map (hdim x |q1|) resolvent data through B and add A, embedded nv x nv."""
+    """A + B X on the q2 x q1 slots, embedded in an nv x nv matrix.  The B
+    row of v is zero outside H_v, so only its H_v part is multiplied: a sum
+    over H_v alone does not pick up rounding from the other fibers' order."""
     g = s.graph
+    n1 = len(s.q1)
     hoff = s.h_offsets()
+    out = s._V[:len(s.q2), :n1].copy()
+    for i, v in enumerate(s.q2):
+        out[i] += (s._V[i:i + 1, s._hcols[v]] @ X[hoff[v]])[0]
     Z = np.zeros((g.nv, g.nv), dtype=complex)
-    for v, a in s.A.items():
-        Z[g.vindex[v], g.vindex[v]] += a
-    for v2 in s.q2:
-        if s.m[v2] == 0:
-            continue
-        row = s.B[v2] @ X[hoff[v2], :]
-        for col, v1 in enumerate(s.q1):
-            Z[g.vindex[v2], g.vindex[v1]] += row[0, col]
+    Z[np.ix_([g.vindex[v] for v in s.q2], [g.vindex[v] for v in s.q1])] = out
     return Z
 
 
@@ -322,36 +319,37 @@ def taylor_extract(s, N):
     coefficients B_{r(e1)} D^{(e1)} ... D^{(e_{n-1})} C^{(e_n)}; the cost
     grows with the number of paths, so keep N moderate and use
     transfer_partial_sum for high-degree tails.
+
+    Each path beta carries a state in E1 (+) H, one row per path of a
+    graph_core._PathIndex level: a vertex starts at its q1 slot (zero
+    outside q1), the fiber rows of e applied to the state of beta give
+    the state of e beta in H_{r(e)}, and the q2 row of V at r(beta)
+    applied to the state of beta is its coefficient.  The index holds only
+    the edges with a nonzero range fiber; every other path has coefficient
+    zero.
     """
     g = s.graph
-    out = [HardyPoly(g, {v: a for v, a in s.A.items()})]
-    q2 = set(s.q2)
-    # state: path -> vector in H_{r(first edge)}
-    level = {}
-    for e in g.edges:
-        if g.src[e.name] in set(s.q1) and s.m[e.dst] > 0:
-            level[(e.name,)] = s.C[e.name][:, 0]
-    for n in range(1, N + 1):
-        coeffs = {}
-        for path, vec in level.items():
-            v2 = g.dst[path[0]]
-            if v2 in q2 and s.m[v2] > 0:
-                c = complex(s.B[v2][0] @ vec)
-                if c != 0:
-                    coeffs[path] = c
-        out.append(HardyPoly(g, coeffs))
-        if n == N:
-            break
-        nxt = {}
-        for path, vec in level.items():
-            head = g.dst[path[0]]
-            # prepend e: requires s(e) = r(path) = head
-            for e in g.out_edges(head):
-                if s.m[g.dst[e]] == 0:
-                    continue
-                nxt[(e,) + path] = s.D[e] @ vec
-        level = nxt
-    return out
+    live = Graph(g.vertices, [e for e in g.edges if s.m[e.dst] > 0])
+    index = _PathIndex(live, N)
+    slot = np.array([s._out.get(v, -1) for v in g.vertices])
+    state = np.zeros((g.nv, s._V.shape[1]), dtype=complex)
+    for v, i in s._in.items():
+        state[g.vindex[v], i] = 1.0
+    out = []
+    for n, paths in enumerate(index.levels()):
+        if n:
+            nxt = np.zeros((len(paths), s._V.shape[1]), dtype=complex)
+            for i, e in enumerate(live.edges):
+                beta = np.flatnonzero(index.child[n][i] >= 0)
+                nxt[index.child[n][i, beta], s._hcols[e.dst]] = (
+                    state[beta] @ s._V[s._fiber[e.name]].T)
+            state = nxt
+        if not state.any():
+            break  # every longer path extends one of these, so its state is zero too
+        hit = np.flatnonzero(slot[index.range[n]] >= 0)
+        coeffs = np.einsum("ij,ij->i", state[hit], s._V[slot[index.range[n][hit]]])
+        out.append(HardyPoly(g, {paths[j]: c for j, c in zip(hit.tolist(), coeffs) if c != 0}))
+    return out + [HardyPoly.zero(g) for _ in range(len(out), len(index.range))]
 
 
 def taylor_poly(s, N):
@@ -424,21 +422,13 @@ def random_system(g, rng, mmax=3, q1=None, q2=None):
 
 
 def _system_from_vertex_blocks(g, m, q1, q2, blocks):
-    """Slice per-vertex (codomain_v x domain_v) matrices into A, B, C, D."""
-    q1s, q2s = set(q1), set(q2)
-    A, B, C, D = {}, {}, {}, {}
+    """The system whose vertex blocks are the given (codomain_v x domain_v)
+    matrices, each written straight into its rows and columns of V."""
+    s = SystemMatrix(g, m, q1, q2)
     for v in g.vertices:
-        blk = blocks[v]
-        c0 = int(v in q1s)
-        if v in q2s:
-            B[v] = blk[0:1, c0:]
-            if v in q1s:
-                A[v] = complex(blk[0, 0])
-        for e, rows in _fiber_rows(g, q2s, m, v):
-            if v in q1s:
-                C[e] = blk[rows, 0:1]
-            D[e] = blk[rows, c0:]
-    return SystemMatrix(g, m, q1, q2, A, B, C, D)
+        dom, cod = _block_dims(g, s.q1, s.q2, s.m, v)
+        s._V[s._block_index(v)] = _as_block(blocks[v], (cod, dom))
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +496,8 @@ def realize_from_samples(points, values, q1, q2, tol=1e-9, rank_tol=1e-9):
         raise ValueError("need one value matrix per point")
     g = points[0].graph
     nv = g.nv
-    q1t = tuple(v for v in g.vertices if v in set(q1))
-    q2t = tuple(v for v in g.vertices if v in set(q2))
+    q1t = _vertex_subset(g, q1)
+    q2t = _vertex_subset(g, q2)
     Z = np.asarray(values, dtype=complex)
     if Z.shape != (k, nv, nv):
         raise GraphError("sample values must be %d x %d matrices" % (nv, nv))

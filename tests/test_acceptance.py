@@ -91,8 +91,8 @@ def test_2_classical_pick_oracle(capsys):
 
 
 def test_3_schur_certificate(capsys):
-    # rescaling by the Fock compression norm (times 1 + 1e-6) puts random
-    # polynomials in the unit ball; their sample kernel must then be CP
+    # rescaled by the Fock compression norm at N = 9 (times 1 + 1e-6), a
+    # lower bound for the norm, random polynomials give CP sample kernels
     t0 = time.monotonic()
     g = two_vertex_example()
     rng = np.random.default_rng(30)
@@ -133,7 +133,7 @@ def test_5_realization_roundtrip(capsys):
     t0 = time.monotonic()
     g = two_vertex_example()
     x = HardyPoly.shift(g, "g")
-    assert fock_norm_bound(x, 6) <= 1.0  # contraction certificate
+    assert fock_norm_bound(x, 6) <= 1.0  # compression norm: a lower bound, not a certificate
     assert cuntz_toeplitz_check(g, 4)["deviations"]["shift_isometries"] == 0.0
     pts = [make_dual_point(g, {"g": c}) for c in (0.55, -0.35, 0.2 + 0.4j, -0.1 - 0.5j)]
     vals = [evaluate_poly(x, p) for p in pts]

@@ -254,6 +254,25 @@ def test_realize_conditioning_exit_code(capsys, tmp_path, graph_file):
     assert not sysout.exists()
 
 
+def test_realize_unknown_vertex_exit_code(capsys, tmp_path, graph_file):
+    g = two_vertex_example()
+    pts = [make_dual_point(g, {"g": c}) for c in (0.3, -0.4j)]
+    payload = {"points": [point_to_dict(p) for p in pts],
+               "values": [[[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5 * c.real, -0.5 * c.imag]]]
+                          for c in (0.3, -0.4j)]}
+    f = write_json(tmp_path / "samples.json", payload)
+    code, _, _ = run_cli(capsys, ["realize", "--graph", graph_file, "--points", f,
+                                  "--q1", "v,w", "--q2", "w"])
+    assert code == 0
+    sysout = tmp_path / "sys.json"
+    for flag, names, bad in (("--q1", "v,typo", "typo"), ("--q2", "w,nope", "nope")):
+        code, rep, err = run_cli(capsys, ["realize", "--graph", graph_file, "--points", f,
+                                          flag, names, "--out", str(sysout)])
+        assert code == 2 and rep is None
+        assert "input error: unknown vertex '%s'" % bad in err
+        assert not sysout.exists()
+
+
 def test_mobius_command(capsys, tmp_path, graph_file):
     g = two_vertex_example()
     gamma = make_central_point(g, {"g": 0.3 - 0.4j})

@@ -20,9 +20,7 @@ from graph_hardy import (
     point_to_dict,
     random_point,
     resolvent_matrix,
-    theta_map,
     theta_matrix,
-    theta_resolvent,
     two_vertex_example,
     zero_point,
 )
@@ -137,9 +135,13 @@ def test_theta_helpers(g2):
     p1 = random_point(g2, rng, max_norm=0.7)
     p2 = random_point(g2, rng, max_norm=0.7)
     a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    np.testing.assert_allclose(theta_map(p1, p2, a), theta_matrix(p1, p2) @ a,
-                               atol=1e-14)
-    x = theta_resolvent(p1, p2, a)
+    # theta_{p1, p2}(a)(v) = sum_{r(e) = v} conj(w1(e)) a(s(e)) w2(e)
+    direct = np.zeros(2, dtype=complex)
+    for e in g2.edges:
+        direct[g2.vindex[e.dst]] += (np.conj(p1.weight(e.name)) * a[g2.vindex[e.src]]
+                                     * p2.weight(e.name))
+    np.testing.assert_allclose(theta_matrix(p1, p2) @ a, direct, atol=1e-14)
+    x = resolvent_matrix(p1, p2) @ a
     np.testing.assert_allclose((np.eye(2) - theta_matrix(p1, p2)) @ x, a,
                                atol=1e-13)
 

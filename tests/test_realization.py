@@ -50,8 +50,8 @@ def test_dimension_bookkeeping_frozen():
     g = two_vertex_example()
     s = SystemMatrix(g, {"v": 1, "w": 2}, ("v", "w"), ("v",))
     assert s.h_dim() == 3
-    assert s.domain_dim("v") == 2 and s.domain_dim("w") == 3
-    assert s.codomain_dim("v") == 3 and s.codomain_dim("w") == 3
+    # (codomain_v, domain_v)
+    assert s.vertex_block("v").shape == (3, 2) and s.vertex_block("w").shape == (3, 3)
     V = s.assemble()
     assert V.shape == (6, 5)  # 1 output slot + fibers (2, 1, 2); 2 inputs + 3 states
 
@@ -110,8 +110,8 @@ def test_vertex_block_layout_roundtrip():
             # multiplicities give vertex blocks with several wide fibers
             m = {v: int(rng.integers(0, 4)) for v in g.vertices}
             shape = SystemMatrix(g, m, s.q1, s.q2)
-            blocks = {v: rng.standard_normal((shape.codomain_dim(v), shape.domain_dim(v)))
-                      + 0j for v in g.vertices}
+            blocks = {v: rng.standard_normal(shape.vertex_block(v).shape) + 0j
+                      for v in g.vertices}
             t = _system_from_vertex_blocks(g, m, s.q1, s.q2, blocks)
             for v in g.vertices:
                 np.testing.assert_array_equal(t.vertex_block(v), blocks[v])
@@ -173,15 +173,63 @@ def test_transfer_matches_taylor_polynomial():
     # independent oracle: the partial sum of the series equals evaluating
     # the extracted Taylor polynomial
     rng = np.random.default_rng(9)
-    graphs = [two_vertex_example(), loop_graph(), random_graph(rng, 4, 5)]
-    for g in graphs:
-        s = random_system(g, rng)
+    cases = [(g, None, None, rng)
+             for g in (two_vertex_example(), loop_graph(), random_graph(rng, 4, 5))]
+    # conftest.random_graph seeds with parallel edges, a sink and a source,
+    # with q1/q2 subsets that include empty ones
+    for seed in (12, 28, 45):
+        g = random_graph(np.random.default_rng(seed))
+        vs, rs = g.vertices, np.random.default_rng(seed)
+        cases += [(g, q1, q2, rs) for q1, q2 in ((None, None), ((), None), (vs, ()),
+                                                 ((vs[0],), (vs[-1],)), (vs[1:], vs[:2]))]
+    nonzero = 0
+    for g, q1, q2, rs in cases:
+        s = random_system(g, rs, q1=q1, q2=q2)
         for _ in range(3):
-            p = random_point(g, rng, max_norm=0.6)
+            p = random_point(g, rs, max_norm=0.6)
             N = 6
             poly = taylor_poly(s, N)
-            np.testing.assert_allclose(
-                transfer_partial_sum(s, p, N), evaluate_poly(poly, p), atol=1e-12)
+            part = transfer_partial_sum(s, p, N)
+            np.testing.assert_allclose(part, evaluate_poly(poly, p), atol=1e-12)
+            nonzero += bool(np.abs(part).max() > 1e-3)
+    assert nonzero >= 20
+
+
+def test_transfer_matches_dense_insertion_oracle():
+    # A + B (I - L* D)^{-1} L* C from assemble() and an explicit dense L*,
+    # which takes row j of the fiber of e to row j of H_{r(e)} with factor
+    # conj(w_e).  Random blocks at multiplicities >= 1 keep every fiber
+    # live, including the parallel edges of seeds 12, 28 and 45.
+    graphs = [two_vertex_example()] + [random_graph(np.random.default_rng(seed))
+                                       for seed in (12, 28, 45)]
+    rng = np.random.default_rng(31)
+    through_state = 0
+    for g in graphs:
+        vs = g.vertices
+        for q1, q2 in ((vs, vs), ((), vs), (vs, ()), ((vs[0],), (vs[-1],)), (vs[1:], vs[:2])):
+            m = {v: int(rng.integers(1, 4)) for v in vs}
+            shape = {v: SystemMatrix(g, m, q1, q2).vertex_block(v).shape for v in vs}
+            s = _system_from_vertex_blocks(g, m, q1, q2, {
+                v: 0.25 * (rng.standard_normal(shape[v]) + 1j * rng.standard_normal(shape[v]))
+                for v in vs})
+            V = s.assemble()
+            n1, n2, hdim = len(s.q1), len(s.q2), s.h_dim()
+            hstart = np.cumsum([0] + [m[v] for v in vs])
+            p = random_point(g, rng, max_norm=0.8)
+            L = np.zeros((hdim, V.shape[0] - n2), dtype=complex)
+            row = 0
+            for e in g.edges:
+                for j in range(m[e.dst]):
+                    L[hstart[g.vindex[e.dst]] + j, row + j] = np.conj(p.weight(e.name))
+                row += m[e.dst]
+            A, B, C, D = V[:n2, :n1], V[:n2, n1:], V[n2:, :n1], V[n2:, n1:]
+            resolvent_part = B @ np.linalg.solve(np.eye(hdim) - L @ D, L @ C)
+            oracle = np.zeros((g.nv, g.nv), dtype=complex)
+            oracle[np.ix_([g.vindex[v] for v in s.q2], [g.vindex[v] for v in s.q1])] = (
+                A + resolvent_part)
+            np.testing.assert_allclose(transfer_eval(s, p), oracle, rtol=0, atol=1e-12)
+            through_state += bool(np.abs(resolvent_part).max(initial=0.0) > 1e-3)
+    assert through_state >= 6
 
 
 def test_transfer_supported_on_q2_q1():
@@ -286,6 +334,20 @@ def test_realize_rejects_expansive_data():
     vals = [evaluate_poly(x, p) for p in pts]
     with pytest.raises(FeasibilityError):
         realize_from_samples(pts, vals, list(g.vertices), list(g.vertices))
+
+
+def test_realize_rejects_unknown_vertex_names():
+    # a name outside the graph is refused, as SystemMatrix refuses it, not dropped
+    g = two_vertex_example()
+    x = 0.5 * HardyPoly.shift(g, "g")
+    pts = [make_dual_point(g, {"g": c}) for c in (0.3, -0.4j)]
+    vals = [evaluate_poly(x, p) for p in pts]
+    s, _ = realize_from_samples(pts, vals, ["v", "w"], ["w"])
+    assert s.q1 == ("v", "w") and s.q2 == ("w",)
+    for q1, q2, bad in ((["v", "w", "typo"], ["w", "nope"], "typo"),
+                        (["v", "w"], ["w", "nope"], "nope")):
+        with pytest.raises(GraphError, match="unknown vertex '%s'" % bad):
+            realize_from_samples(pts, vals, q1, q2)
 
 
 def test_realize_rejects_off_support_values():
