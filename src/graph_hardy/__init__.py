@@ -18,7 +18,6 @@ from .graph_core import (
     inner_product,
     act,
     is_path,
-    load_graph,
     path_basis,
     path_range,
     path_source,
@@ -33,7 +32,6 @@ from .fock import (
     fock_norm_bound,
     fourier_coeff,
     hardy_mul,
-    load_poly,
     poly_from_terms,
     poly_to_terms,
     random_poly,
@@ -43,8 +41,6 @@ from .dual_eval import (
     DualPoint,
     dual_norm,
     evaluate_poly,
-    load_point,
-    load_points,
     make_dual_point,
     point_from_dict,
     point_to_dict,
@@ -67,7 +63,6 @@ from .realization import (
     FeasibilityError,
     SystemMatrix,
     feasible_multiplicities,
-    load_system,
     random_system,
     realize_from_samples,
     series_residual,
@@ -83,7 +78,6 @@ from .mobius import (
     CentralPoint,
     central_from_dict,
     central_to_dict,
-    load_central,
     make_central_point,
     mobius_apply,
     mobius_colligation,

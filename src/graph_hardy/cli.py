@@ -1,21 +1,33 @@
 """Command line front end.
 
 Subcommands: validate-graph, fock-check, eval, pick, schur-check,
-transfer, realize, mobius, autom-demo.  Every command reads JSON inputs,
-emits a JSON report (to --out if given, else stdout; realize writes its
-system matrix to --out and every report to stdout), and exits 0 when the
-requested check passes, 1 when the mathematics fails (infeasible data,
-violated relations), 2 on malformed input, and 3 when the numerics break
-down on valid input (realize's ConditioningError, reported with kind
-"conditioning").  Reports embed the tolerances used, the worst residual
-observed, and a sha256 of every input file, and are byte-identical
-across runs for the same inputs; autom-demo draws its points from
---seed, the only option that takes a seed.
+transfer, realize, mobius, autom-demo.  Every command reads JSON inputs
+and emits one JSON report, to --out if given, else stdout; realize
+writes its system matrix to --out and every report to stdout.
+
+Report frame: _command declares each subcommand and its options once,
+and the subcommand's function returns only its own report fields,
+"passed" included.  main builds the rest.  It reads --graph and hands
+the function a reader that parses each further input file and records
+its path and sha256.  The report gets "command", then "inputs" for the
+subcommands that take --graph (all but autom-demo), then "tol" for
+those that take --tol (all but validate-graph and eval).
+
+Exit codes: 0 when "passed" is true; 1 when it is false, or when
+realize finds the data infeasible; 2 on malformed input, with "input
+error: ..." on stderr and no report; 3 when the numerics break down on
+valid input (realize's ConditioningError).  The two realize failures
+print a report of only "command", "passed", "error" and "kind"
+("infeasible" or "conditioning").  Reports embed the worst residual
+observed and are byte-identical across runs for the same inputs;
+autom-demo draws its points from --seed, the only option that takes a
+seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -31,13 +43,7 @@ from .graph_core import (
     two_vertex_example,
 )
 from .fock import cuntz_toeplitz_check, poly_from_terms
-from .dual_eval import (
-    BoundaryError,
-    evaluate_poly,
-    make_dual_point,
-    point_from_dict,
-    random_point,
-)
+from .dual_eval import BoundaryError, evaluate_poly, point_from_dict, random_point, zero_point
 from .pick_kernel import (
     StructuralError,
     is_completely_positive,
@@ -64,13 +70,23 @@ from .automorphism import (
     unitary_from_dict,
 )
 
+_COMMANDS = []
 
-def _read_input(path, name, inputs):
-    """Parse the JSON file at path and record its path and sha256 as inputs[name]."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    inputs[name] = {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
-    return json.loads(raw.decode("utf-8"))
+
+def _command(name, help, tol=1e-9, graph=True,
+             out="write the JSON report here instead of stdout", **options):
+    """Declare subcommand `name`, run as func(args, g, read) by main.
+
+    graph: whether it takes --graph (g is then the graph, else None).
+    tol: the default of its --tol, or None for no --tol.  out: the help
+    of --out.  Every other keyword declares the option --<keyword> with
+    those argparse settings.  read(name) parses the JSON file named by
+    --<name> and records it in the report's "inputs".
+    """
+    def register(func):
+        _COMMANDS.append((name, func, help, graph, tol, out, options))
+        return func
+    return register
 
 
 def _emit(report, out_path):
@@ -82,26 +98,28 @@ def _emit(report, out_path):
         sys.stdout.write(text + "\n")
 
 
-def _load_graph_arg(args, inputs):
-    return build_graph(_read_input(args.graph, "graph", inputs))
+def _max_abs(a):
+    return float(np.abs(a).max(initial=0.0))
 
 
-def _load_points_arg(args, g, inputs):
+def _points(g, read):
     """The --points file and the dual points listed under its "points" key."""
-    data = _read_input(args.points, "points", inputs)
+    data = read("points")
     return data, [point_from_dict(g, d) for d in data["points"]]
+
+
+def _cp_fields(rep):
+    return {"blocks": rep["blocks"], "worst_residual": max(0.0, -rep["worst_min_eig"]),
+            "passed": rep["cp"]}
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_validate_graph(args):
-    inputs = {}
-    g = _load_graph_arg(args, inputs)
+@_command("validate-graph", "structural checks and fullness flags", tol=None)
+def cmd_validate_graph(args, g, read):
     is_full, left_faithful = fullness_flags(g)
-    report = {
-        "command": "validate-graph",
-        "inputs": inputs,
+    return {
         "vertices": list(g.vertices),
         "edges": [[e.name, e.src, e.dst] for e in g.edges],
         "loops": list(g.loops()),
@@ -110,313 +128,192 @@ def cmd_validate_graph(args):
         "sources_missing": [v for v in g.vertices if not g.out_edges(v)],
         "passed": True,
     }
-    return report, True
 
 
-def cmd_fock_check(args):
-    inputs = {}
-    g = _load_graph_arg(args, inputs)
+@_command("fock-check", "compressed Cuntz-Toeplitz relations", tol=1e-12,
+          N=dict(type=int, default=4, help="truncation length (>= 2)"))
+def cmd_fock_check(args, g, read):
     rep = cuntz_toeplitz_check(g, args.N, tol=args.tol)
-    report = {
-        "command": "fock-check",
-        "inputs": inputs,
-        "tol": args.tol,
-        "N": args.N,
-        "deviations": rep["deviations"],
-        "worst_residual": rep["max_deviation"],
-        "dim": rep["dim"],
-        "passed": rep["passed"],
-    }
-    return report, rep["passed"]
+    return {"N": args.N, "deviations": rep["deviations"], "worst_residual": rep["max_deviation"],
+            "dim": rep["dim"], "passed": rep["passed"]}
 
 
-def cmd_eval(args):
-    inputs = {}
-    g = _load_graph_arg(args, inputs)
-    x = poly_from_terms(g, _read_input(args.poly, "poly", inputs))
-    point = point_from_dict(g, _read_input(args.point, "point", inputs), allow_boundary=True)
+@_command("eval", "evaluate a polynomial at a dual point", tol=None,
+          poly=dict(required=True, help="polynomial JSON file"),
+          point=dict(required=True, help="dual point JSON file"),
+          gamma=dict(help="central point JSON: evaluate the Mobius pullback"),
+          unitary=dict(help="bimodule unitary JSON: evaluate the gauge pullback"))
+def cmd_eval(args, g, read):
+    x = poly_from_terms(g, read("poly"))
+    point = point_from_dict(g, read("point"), allow_boundary=True)
     if args.gamma or args.unitary:
-        if args.gamma:
-            gamma = central_from_dict(g, _read_input(args.gamma, "gamma", inputs))
-        else:
-            gamma = None
-        if args.unitary:
-            unitary = unitary_from_dict(g, _read_input(args.unitary, "unitary", inputs))
-        else:
-            unitary = identity_unitary(g)
-        value = pullback_evaluate(gamma, unitary, x, point)
-        mode = "pullback"
+        gamma = central_from_dict(g, read("gamma")) if args.gamma else None
+        unitary = unitary_from_dict(g, read("unitary")) if args.unitary else identity_unitary(g)
+        value, mode = pullback_evaluate(gamma, unitary, x, point), "pullback"
     else:
-        value = evaluate_poly(x, point)
-        mode = "direct"
-    report = {
-        "command": "eval",
-        "inputs": inputs,
-        "mode": mode,
-        "point_norm": point.norm,
-        "value": _complex_to_json(value),
-        "value_max_abs": float(np.abs(value).max(initial=0.0)),
-        "passed": True,
-    }
-    return report, True
+        value, mode = evaluate_poly(x, point), "direct"
+    return {"mode": mode, "point_norm": point.norm, "value": _complex_to_json(value),
+            "value_max_abs": _max_abs(value), "passed": True}
 
 
-def cmd_pick(args):
-    inputs = {}
-    g = _load_graph_arg(args, inputs)
-    data, pts = _load_points_arg(args, g, inputs)
+@_command("pick", "feasibility of constrained interpolation",
+          points=dict(required=True, help='JSON file {"points": [...], "B": [...], "C": [...]}'))
+def cmd_pick(args, g, read):
+    data, pts = _points(g, read)
     B = _complex_from_json(data["B"], ndim=3) if "B" in data else [np.eye(g.nv)] * len(pts)
     C = _complex_from_json(data["C"], ndim=3)
     rep = is_completely_positive(pick_map_matrix(pts, B, C), tol=args.tol)
-    report = {
-        "command": "pick",
-        "inputs": inputs,
-        "tol": args.tol,
-        "blocks": rep["blocks"],
-        "worst_residual": max(0.0, -rep["worst_min_eig"]),
-        "feasible": rep["cp"],
-        "passed": rep["cp"],
-    }
-    return report, rep["cp"]
+    return dict(_cp_fields(rep), feasible=rep["cp"])
 
 
-def cmd_schur_check(args):
-    inputs = {}
-    g = _load_graph_arg(args, inputs)
-    data, pts = _load_points_arg(args, g, inputs)
+@_command("schur-check", "CP test of the Schur kernel for samples",
+          points=dict(required=True, help='JSON file {"points": [...], "values": [...]}'))
+def cmd_schur_check(args, g, read):
+    data, pts = _points(g, read)
     values = _complex_from_json(data["values"], ndim=3)
-    rep = is_completely_positive(schur_kernel_matrix(pts, values), tol=args.tol)
-    report = {
-        "command": "schur-check",
-        "inputs": inputs,
-        "tol": args.tol,
-        "blocks": rep["blocks"],
-        "worst_residual": max(0.0, -rep["worst_min_eig"]),
-        "passed": rep["cp"],
-    }
-    return report, rep["cp"]
+    return _cp_fields(is_completely_positive(schur_kernel_matrix(pts, values), tol=args.tol))
 
 
-def cmd_transfer(args):
-    inputs = {}
-    g = _load_graph_arg(args, inputs)
-    s = system_from_dict(g, _read_input(args.system, "system", inputs))
-    point = point_from_dict(g, _read_input(args.point, "point", inputs))
+@_command("transfer", "validate a system and evaluate its transfer",
+          system=dict(required=True, help="system matrix JSON file"),
+          point=dict(required=True, help="dual point JSON file"),
+          N=dict(type=int, default=40, help="partial-sum degree for the residual"))
+def cmd_transfer(args, g, read):
+    s = system_from_dict(g, read("system"))
+    point = point_from_dict(g, read("point"))  # inside the open ball
     val = validate_system(s, tol=args.tol)
     value = transfer_eval(s, point)
     resid = series_residual(s, point, args.N)
-    tail = point.norm ** (args.N + 1) / (1.0 - point.norm) if point.norm < 1 else np.inf
-    ok = bool(val["passed"] and resid <= tail + 1e-12)
-    report = {
-        "command": "transfer",
-        "inputs": inputs,
-        "tol": args.tol,
-        "N": args.N,
-        "validation": val,
-        "value": _complex_to_json(value),
-        "series_residual": resid,
-        "tail_bound": tail,
-        "worst_residual": max(val["coisometry_residual"], resid),
-        "passed": ok,
-    }
-    return report, ok
+    tail = point.norm ** (args.N + 1) / (1.0 - point.norm)
+    return {"N": args.N, "validation": val, "value": _complex_to_json(value),
+            "series_residual": resid, "tail_bound": tail,
+            "worst_residual": max(val["coisometry_residual"], resid),
+            "passed": bool(val["passed"] and resid <= tail + 1e-12)}
 
 
-def cmd_realize(args):
-    inputs = {}
-    g = _load_graph_arg(args, inputs)
-    data, pts = _load_points_arg(args, g, inputs)
+@_command("realize", "build a system matrix from samples",
+          out="write the system matrix JSON here; the report always goes to stdout",
+          points=dict(required=True, help='JSON file {"points": [...], "values": [...], '
+                                          '"q1": [...], "q2": [...]}'),
+          q1=dict(help="comma separated input vertices (overrides the file)"),
+          q2=dict(help="comma separated output vertices (overrides the file)"))
+def cmd_realize(args, g, read):
+    data, pts = _points(g, read)
     values = _complex_from_json(data["values"], ndim=3)
     q1 = args.q1.split(",") if args.q1 else data.get("q1", list(g.vertices))
     q2 = args.q2.split(",") if args.q2 else data.get("q2", list(g.vertices))
     system, rep = realize_from_samples(pts, values, q1, q2, tol=args.tol)
     sdict = system_to_dict(system)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(json.dumps(sdict, indent=2, sort_keys=True) + "\n")
-    report = {
-        "command": "realize",
-        "inputs": inputs,
-        "tol": args.tol,
-        "multiplicities": rep["multiplicities"],
-        "gram_ranks": rep["gram_ranks"],
-        "padding": rep["padding"],
-        "padding_feasible": rep["padding_feasible"],
-        "coisometry_residual": rep["coisometry_residual"],
-        "interpolation_residual": rep["interpolation_residual"],
-        "worst_residual": rep["interpolation_residual"],
-        "system_written_to": args.out,
-        "system": None if args.out else sdict,
-        "passed": True,
-    }
-    return report, True
+        _emit(sdict, args.out)
+    keep = ("multiplicities", "gram_ranks", "padding", "padding_feasible",
+            "coisometry_residual", "interpolation_residual")
+    return dict({k: rep[k] for k in keep}, worst_residual=rep["interpolation_residual"],
+                system_written_to=args.out, system=None if args.out else sdict, passed=True)
 
 
-def cmd_mobius(args):
-    inputs = {}
-    g = _load_graph_arg(args, inputs)
-    gamma = central_from_dict(g, _read_input(args.gamma, "gamma", inputs))
+@_command("mobius", "Mobius involution and its colligation",
+          gamma=dict(required=True, help="central point JSON file"),
+          point=dict(help="optional dual point to move"))
+def cmd_mobius(args, g, read):
+    gamma = central_from_dict(g, read("gamma"))
     _, coll = mobius_colligation(gamma)
-    from .dual_eval import zero_point
-    img_zero = mobius_apply(gamma, zero_point(g))
-    fixed_dev = float(np.abs(img_zero.weights - gamma.weights).max(initial=0.0))
-    back = mobius_apply(gamma, gamma.as_dual_point())
-    zero_dev = float(np.abs(back.weights).max(initial=0.0))
-    report = {
-        "command": "mobius",
-        "inputs": inputs,
-        "tol": args.tol,
-        "colligation": coll,
-        "g_at_zero_vs_gamma": fixed_dev,
-        "g_at_gamma_vs_zero": zero_dev,
-    }
+    fixed_dev = _max_abs(mobius_apply(gamma, zero_point(g)).weights - gamma.weights)
+    zero_dev = _max_abs(mobius_apply(gamma, gamma.as_dual_point()).weights)
+    report = {"colligation": coll, "g_at_zero_vs_gamma": fixed_dev,
+              "g_at_gamma_vs_zero": zero_dev}
     worst = max(coll["coisometry_residual"], coll["isometry_residual"], fixed_dev, zero_dev)
     if args.point:
-        point = point_from_dict(g, _read_input(args.point, "point", inputs))
+        point = point_from_dict(g, read("point"))
         moved = mobius_apply(gamma, point)
-        twice = mobius_apply(gamma, moved)
-        invol = float(np.abs(twice.weights - point.weights).max(initial=0.0))
-        report["image_weights"] = {e.name: _complex_to_json(w)
-                                   for e, w in zip(g.edges, moved.weights)}
-        report["image_norm"] = moved.norm
-        report["involution_residual"] = invol
+        invol = _max_abs(mobius_apply(gamma, moved).weights - point.weights)
+        report.update(image_weights={e.name: _complex_to_json(w)
+                                     for e, w in zip(g.edges, moved.weights)},
+                      image_norm=moved.norm, involution_residual=invol)
         worst = max(worst, invol)
-    ok = bool(worst < args.tol)
-    report["worst_residual"] = worst
-    report["passed"] = ok
-    return report, ok
+    return dict(report, worst_residual=worst, passed=bool(worst < args.tol))
 
 
-def cmd_autom_demo(args):
+@_command("autom-demo", "two-vertex automorphism consistency demo", tol=1e-7, graph=False,
+          lam=dict(default="0.5", help="loop weight lambda (complex literal)"),
+          N=dict(type=int, default=25), npoints=dict(type=int, default=10),
+          seed=dict(type=int, default=0))
+def cmd_autom_demo(args, g, read):
     g = two_vertex_example()
     lam = complex(args.lam)
     rng = np.random.default_rng(args.seed)
-    te, tf, tg = two_vertex_alpha_lambda(lam, args.N, g)
+    alpha = two_vertex_alpha_lambda(lam, args.N, g)  # images of the edges e, f, g
     worst = 0.0
     per_point = []
     pts = [random_point(g, rng, max_norm=0.7) for _ in range(args.npoints)]
     for pt in pts:
         tau = tau_lambda_matrix(lam, pt)
-        dev_e = abs(evaluate_poly(te, pt)[g.vindex["w"], g.vindex["v"]]
-                    - tau[g.vindex["w"], g.eindex["e"]])
-        dev_f = abs(evaluate_poly(tf, pt)[g.vindex["v"], g.vindex["w"]]
-                    - tau[g.vindex["v"], g.eindex["f"]])
-        dev_g = abs(evaluate_poly(tg, pt)[g.vindex["w"], g.vindex["w"]]
-                    - tau[g.vindex["w"], g.eindex["g"]])
-        worst = max(worst, dev_e, dev_f, dev_g)
-        per_point.append({"norm": pt.norm, "dev": max(dev_e, dev_f, dev_g)})
+        dev = max(abs(evaluate_poly(t, pt)[g.vindex[e.dst], g.vindex[e.src]]
+                      - tau[g.vindex[e.dst], g.eindex[e.name]])
+                  for t, e in zip(alpha, g.edges))
+        worst = max(worst, dev)
+        per_point.append({"norm": pt.norm, "dev": dev})
     ideal = kernel_ideal_check(pts, rng=rng)
-    ok = bool(worst < args.tol and ideal["passed"])
-    report = {
-        "command": "autom-demo",
-        "lambda": [lam.real, lam.imag],
-        "N": args.N,
-        "seed": args.seed,
-        "tol": args.tol,
-        "points": per_point,
-        "worst_residual": worst,
-        "kernel_ideal": ideal,
-        "passed": ok,
-    }
-    return report, ok
+    return {"lambda": [lam.real, lam.imag], "N": args.N, "seed": args.seed,
+            "points": per_point, "worst_residual": worst, "kernel_ideal": ideal,
+            "passed": bool(worst < args.tol and ideal["passed"])}
 
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="graph-hardy",
         description="Hardy algebra of a finite directed graph: Fock shifts, "
                     "dual-ball evaluation, Pick interpolation, realization.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, graph=True, tol=1e-9, out="write the JSON report here instead of stdout"):
+    for name, func, help, graph, tol, out, options in _COMMANDS:
+        p = sub.add_parser(name, help=help)
         if graph:
             p.add_argument("--graph", required=True, help="graph JSON file")
-        p.add_argument("--tol", type=float, default=tol)
+        if tol is not None:
+            p.add_argument("--tol", type=float, default=tol)
         p.add_argument("--out", help=out)
-
-    p = sub.add_parser("validate-graph", help="structural checks and fullness flags")
-    common(p)
-    p.set_defaults(func=cmd_validate_graph)
-
-    p = sub.add_parser("fock-check", help="compressed Cuntz-Toeplitz relations")
-    common(p, tol=1e-12)
-    p.add_argument("--N", type=int, default=4, help="truncation length (>= 2)")
-    p.set_defaults(func=cmd_fock_check)
-
-    p = sub.add_parser("eval", help="evaluate a polynomial at a dual point")
-    common(p)
-    p.add_argument("--poly", required=True, help="polynomial JSON file")
-    p.add_argument("--point", required=True, help="dual point JSON file")
-    p.add_argument("--gamma", help="central point JSON: evaluate the Mobius pullback")
-    p.add_argument("--unitary", help="bimodule unitary JSON: evaluate the gauge pullback")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("pick", help="feasibility of constrained interpolation")
-    common(p)
-    p.add_argument("--points", required=True,
-                   help='JSON file {"points": [...], "B": [...], "C": [...]}')
-    p.set_defaults(func=cmd_pick)
-
-    p = sub.add_parser("schur-check", help="CP test of the Schur kernel for samples")
-    common(p)
-    p.add_argument("--points", required=True,
-                   help='JSON file {"points": [...], "values": [...]}')
-    p.set_defaults(func=cmd_schur_check)
-
-    p = sub.add_parser("transfer", help="validate a system and evaluate its transfer")
-    common(p)
-    p.add_argument("--system", required=True, help="system matrix JSON file")
-    p.add_argument("--point", required=True, help="dual point JSON file")
-    p.add_argument("--N", type=int, default=40, help="partial-sum degree for the residual")
-    p.set_defaults(func=cmd_transfer)
-
-    p = sub.add_parser("realize", help="build a system matrix from samples")
-    common(p, out="write the system matrix JSON here; the report always goes to stdout")
-    p.add_argument("--points", required=True,
-                   help='JSON file {"points": [...], "values": [...], "q1": [...], "q2": [...]}')
-    p.add_argument("--q1", help="comma separated input vertices (overrides the file)")
-    p.add_argument("--q2", help="comma separated output vertices (overrides the file)")
-    p.set_defaults(func=cmd_realize)
-
-    p = sub.add_parser("mobius", help="Mobius involution and its colligation")
-    common(p)
-    p.add_argument("--gamma", required=True, help="central point JSON file")
-    p.add_argument("--point", help="optional dual point to move")
-    p.set_defaults(func=cmd_mobius)
-
-    p = sub.add_parser("autom-demo", help="two-vertex automorphism consistency demo")
-    p.add_argument("--lam", default="0.5", help="loop weight lambda (complex literal)")
-    p.add_argument("--N", type=int, default=25)
-    p.add_argument("--npoints", type=int, default=10)
-    p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.set_defaults(func=cmd_autom_demo)
-
+        for option, settings in options.items():
+            p.add_argument("--" + option, **settings)
+        p.set_defaults(func=func)
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # realize's --out receives the system matrix, so its reports go to stdout
     report_to = None if args.command == "realize" else args.out
+    report = {"command": args.command}
+    inputs = {}
+
+    def read(name):
+        path = getattr(args, name)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        inputs[name] = {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
+        return json.loads(raw.decode("utf-8"))
+
     try:
-        report, passed = args.func(args)
+        g = None
+        if "graph" in args:
+            g = build_graph(read("graph"))
+            report["inputs"] = inputs
+        if "tol" in args:
+            report["tol"] = args.tol
+        report.update(args.func(args, g, read))
     except (FeasibilityError, ConditioningError) as exc:
         infeasible = isinstance(exc, FeasibilityError)
         _emit({"command": args.command, "passed": False, "error": str(exc),
                "kind": "infeasible" if infeasible else "conditioning"}, report_to)
         return 1 if infeasible else 3
     except (GraphError, BoundaryError, StructuralError,
-            OSError, KeyError, IndexError, TypeError, ValueError,
-            json.JSONDecodeError) as exc:
+            OSError, KeyError, IndexError, TypeError, ValueError) as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return 2
     _emit(report, report_to)
-    return 0 if passed else 1
+    return 0 if report["passed"] else 1
 
 
 if __name__ == "__main__":

@@ -29,14 +29,13 @@ its inverse is the resolvent that drives the Pick and Schur kernels.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .graph_core import (
     GraphError,
     _complex_from_json,
     _complex_to_json,
+    _json_object,
     as_edge_function,
     path_range,
     path_source,
@@ -183,23 +182,6 @@ def point_to_dict(p):
 
 
 def point_from_dict(g, data, allow_boundary=False):
-    try:
-        raw = data["weights"]
-    except (KeyError, TypeError):
-        raise GraphError("dual point dict must have a 'weights' entry")
+    raw = _json_object(data, "weights", "dual point")
     weights = {name: _complex_from_json(val) for name, val in raw.items()}
     return make_dual_point(g, weights, allow_boundary=allow_boundary)
-
-
-def load_point(g, path, allow_boundary=False):
-    with open(path) as fh:
-        return point_from_dict(g, json.load(fh), allow_boundary=allow_boundary)
-
-
-def load_points(g, path, allow_boundary=False):
-    """Load either a single point dict or {"points": [point, ...]}."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if isinstance(data, dict) and "points" in data:
-        return [point_from_dict(g, d, allow_boundary=allow_boundary) for d in data["points"]]
-    return [point_from_dict(g, data, allow_boundary=allow_boundary)]

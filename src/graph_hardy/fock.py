@@ -30,8 +30,6 @@ every call.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg
@@ -348,8 +346,3 @@ def poly_from_terms(g, terms):
         c = complex(t.get("re", 0.0), t.get("im", 0.0))
         coeffs[path] = coeffs.get(path, 0j) + c
     return HardyPoly(g, coeffs)
-
-
-def load_poly(g, path):
-    with open(path) as fh:
-        return poly_from_terms(g, json.load(fh))

@@ -24,7 +24,6 @@ length is a tuple of edge names.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 
 import numpy as np
@@ -127,11 +126,6 @@ def graph_to_dict(g):
     }
 
 
-def load_graph(path):
-    with open(path) as fh:
-        return build_graph(json.load(fh))
-
-
 def two_vertex_example():
     """The standard worked example: vertices v, w with
 
@@ -207,8 +201,10 @@ class _PathIndex:
     the position in level k of the path e followed by path j of level
     k-1, or -1 when s(e) != r(path j).  Level k lists the pairs (e, j)
     with child[k][e, j] >= 0 in row-major order, which is path_basis's
-    lexicographic order.  offset[k] is the position of level k's first
-    path in the concatenated basis, and offset[N + 1] is its length.
+    lexicographic order; head[k] and tail[k] are those pairs' arrays, so
+    path i of level k is edge head[k][i] followed by path tail[k][i] of
+    level k-1.  offset[k] is the position of level k's first path in the
+    concatenated basis, and offset[N + 1] is its length.
     """
 
     def __init__(self, g, N):
@@ -216,25 +212,31 @@ class _PathIndex:
         src = np.array([g.vindex[e.src] for e in g.edges], dtype=np.intp)
         dst = np.array([g.vindex[e.dst] for e in g.edges], dtype=np.intp)
         self.range = [np.arange(g.nv)]
-        self.child = [None]
+        self.child, self.head, self.tail = [None], [None], [None]
         for _ in range(N):
             e, tail = np.nonzero(src[:, None] == self.range[-1])
             child = np.full((g.ne, len(self.range[-1])), -1, dtype=np.intp)
             child[e, tail] = np.arange(len(e))
             self.child.append(child)
+            self.head.append(e)
+            self.tail.append(tail)
             self.range.append(dst[e])
         self.offset = np.cumsum([0] + [len(r) for r in self.range])
 
     def levels(self):
         """The paths of each length 0..N, as path_basis lists them."""
-        names = [e.name for e in self.graph.edges]
-        out = [list(self.graph.vertices)]
-        prev = [()] * self.graph.nv
-        for child in self.child[1:]:
-            e, tail = np.nonzero(child >= 0)
-            prev = [(names[i],) + prev[j] for i, j in zip(e.tolist(), tail.tolist())]
-            out.append(prev)
-        return out
+        return [self.paths(k, np.arange(len(r))) for k, r in enumerate(self.range)]
+
+    def paths(self, k, idx):
+        """The paths at positions idx of level k, as path_basis names them."""
+        if k == 0:
+            return [self.graph.vertices[i] for i in idx]
+        names = np.array([e.name for e in self.graph.edges], dtype=object)
+        columns = []
+        for level in range(k, 0, -1):
+            columns.append(names[self.head[level][idx]])
+            idx = self.tail[level][idx]
+        return list(zip(*columns))
 
 
 def center_basis(g):
@@ -254,6 +256,17 @@ def _complex_to_json(z):
     if np.ndim(z) == 0:
         return [float(np.real(z)), float(np.imag(z))]
     return [_complex_to_json(x) for x in z]
+
+
+def _json_object(data, key, what):
+    """data[key], which must be a JSON object (a dict); GraphError otherwise."""
+    try:
+        val = data[key]
+    except (KeyError, TypeError):
+        raise GraphError("%s dict must have a %r entry" % (what, key))
+    if not isinstance(val, dict):
+        raise GraphError("%s %r must be a JSON object, not %s" % (what, key, type(val).__name__))
+    return val
 
 
 def _complex_from_json(val, ndim=0):

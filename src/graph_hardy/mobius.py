@@ -23,11 +23,9 @@ degenerates to [[0, -id], [id, 0]], matching g_0 = -id.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
-from .graph_core import GraphError, _complex_from_json, _complex_to_json
+from .graph_core import GraphError, _complex_from_json, _complex_to_json, _json_object
 from .dual_eval import DualPoint, _resolvent_stack, _theta_stack, dual_norm
 from .pick_kernel import StructuralError, _kernel
 
@@ -65,20 +63,12 @@ def make_central_point(g, loops):
 
 
 def central_from_dict(g, data):
-    try:
-        raw = data["loops"]
-    except (KeyError, TypeError):
-        raise GraphError("central point dict must have a 'loops' entry")
+    raw = _json_object(data, "loops", "central point")
     return CentralPoint(g, {name: _complex_from_json(val) for name, val in raw.items()})
 
 
 def central_to_dict(c):
     return {"loops": {e: _complex_to_json(w) for e, w in c.loop_weights().items()}}
-
-
-def load_central(g, path):
-    with open(path) as fh:
-        return central_from_dict(g, json.load(fh))
 
 
 # ---------------------------------------------------------------------------

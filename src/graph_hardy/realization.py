@@ -36,12 +36,17 @@ matrix off a coisometric completion of that isometry.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import scipy.linalg
 
-from .graph_core import Graph, GraphError, _PathIndex, _complex_from_json, _complex_to_json
+from .graph_core import (
+    Graph,
+    GraphError,
+    _PathIndex,
+    _complex_from_json,
+    _complex_to_json,
+    _json_object,
+)
 from .fock import HardyPoly
 from .pick_kernel import schur_kernel_matrix, is_completely_positive
 
@@ -326,7 +331,7 @@ def taylor_extract(s, N):
     the state of e beta in H_{r(e)}, and the q2 row of V at r(beta)
     applied to the state of beta is its coefficient.  The index holds only
     the edges with a nonzero range fiber; every other path has coefficient
-    zero.
+    zero.  Only the paths with a nonzero coefficient are named.
     """
     g = s.graph
     live = Graph(g.vertices, [e for e in g.edges if s.m[e.dst] > 0])
@@ -336,9 +341,9 @@ def taylor_extract(s, N):
     for v, i in s._in.items():
         state[g.vindex[v], i] = 1.0
     out = []
-    for n, paths in enumerate(index.levels()):
+    for n, level_range in enumerate(index.range):
         if n:
-            nxt = np.zeros((len(paths), s._V.shape[1]), dtype=complex)
+            nxt = np.zeros((len(level_range), s._V.shape[1]), dtype=complex)
             for i, e in enumerate(live.edges):
                 beta = np.flatnonzero(index.child[n][i] >= 0)
                 nxt[index.child[n][i, beta], s._hcols[e.dst]] = (
@@ -346,9 +351,10 @@ def taylor_extract(s, N):
             state = nxt
         if not state.any():
             break  # every longer path extends one of these, so its state is zero too
-        hit = np.flatnonzero(slot[index.range[n]] >= 0)
-        coeffs = np.einsum("ij,ij->i", state[hit], s._V[slot[index.range[n][hit]]])
-        out.append(HardyPoly(g, {paths[j]: c for j, c in zip(hit.tolist(), coeffs) if c != 0}))
+        hit = np.flatnonzero(slot[level_range] >= 0)
+        coeffs = np.einsum("ij,ij->i", state[hit], s._V[slot[level_range[hit]]])
+        nonzero = coeffs != 0
+        out.append(HardyPoly(g, dict(zip(index.paths(n, hit[nonzero]), coeffs[nonzero]))))
     return out + [HardyPoly.zero(g) for _ in range(len(out), len(index.range))]
 
 
@@ -616,23 +622,18 @@ def system_to_dict(s):
 
 
 def system_from_dict(g, data):
+    mult = _json_object(data, "multiplicities", "system")
     try:
-        m = {v: int(x) for v, x in data["multiplicities"].items()}
+        m = {v: int(x) for v, x in mult.items()}
         q1 = list(data["q1"])
         q2 = list(data["q2"])
     except (KeyError, TypeError) as exc:
         raise GraphError("system dict needs multiplicities, q1, q2: %s" % exc)
     mfull = {v: m.get(v, 0) for v in g.vertices}
-    A = {v: _complex_from_json(p) for v, p in data.get("A", {}).items()}
-    B = {v: _mat_from_json(rows, (1, mfull.get(v, 0)))
-         for v, rows in data.get("B", {}).items()}
-    C = {e: _mat_from_json(rows, (mfull.get(g.dst.get(e), 0), 1))
-         for e, rows in data.get("C", {}).items()}
+    A, B, C, D = (_json_object(data, k, "system") if k in data else {} for k in "ABCD")
+    A = {v: _complex_from_json(p) for v, p in A.items()}
+    B = {v: _mat_from_json(rows, (1, mfull.get(v, 0))) for v, rows in B.items()}
+    C = {e: _mat_from_json(rows, (mfull.get(g.dst.get(e), 0), 1)) for e, rows in C.items()}
     D = {e: _mat_from_json(rows, (mfull.get(g.dst.get(e), 0), mfull.get(g.src.get(e), 0)))
-         for e, rows in data.get("D", {}).items()}
+         for e, rows in D.items()}
     return SystemMatrix(g, mfull, q1, q2, A, B, C, D)
-
-
-def load_system(g, path):
-    with open(path) as fh:
-        return system_from_dict(g, json.load(fh))

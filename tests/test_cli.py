@@ -1,5 +1,6 @@
 """End-to-end checks of the command line front end (in-process)."""
 
+import argparse
 import json
 import os
 import shutil
@@ -19,7 +20,6 @@ from graph_hardy import (
     certify_contraction,
     evaluate_poly,
     graph_to_dict,
-    load_system,
     make_central_point,
     make_dual_point,
     mobius_apply,
@@ -27,11 +27,12 @@ from graph_hardy import (
     poly_to_terms,
     random_point,
     random_poly,
+    system_from_dict,
     system_to_dict,
     transfer_eval,
     two_vertex_example,
 )
-from graph_hardy.cli import main
+from graph_hardy.cli import build_parser, main
 
 
 def write_json(path, obj):
@@ -79,6 +80,26 @@ def test_validate_graph_bad_inputs(capsys, tmp_path):
         "vertices": ["v"], "edges": [{"name": "e", "src": "v", "dst": "x"}]})
     assert main(["validate-graph", "--graph", dangling]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag, payload", [
+    ("--point", {"weights": [0.1, 0.2, 0.3]}),
+    ("--gamma", {"loops": [0.1]}),
+    ("--system", {"multiplicities": {"u": 1}, "q1": ["u"], "q2": ["u"], "A": [0.6]}),
+], ids=["eval-point-weights-list", "mobius-gamma-loops-list", "transfer-system-A-list"])
+def test_non_object_json_is_input_error(capsys, tmp_path, loop_file, flag, payload):
+    # a JSON value of the wrong shape where an object is required is
+    # malformed input (exit 2), not failed mathematics and not a traceback
+    g = Graph(["u"], [("z", "u", "u")])
+    bad = write_json(tmp_path / "bad.json", payload)
+    poly = write_json(tmp_path / "poly.json", poly_to_terms(HardyPoly(g, {"u": 1.0})))
+    point = write_json(tmp_path / "pt.json", point_to_dict(make_dual_point(g, {"z": 0.3})))
+    argv = {"--point": ["eval", "--poly", poly, "--point", bad],
+            "--gamma": ["mobius", "--gamma", bad],
+            "--system": ["transfer", "--system", bad, "--point", point]}[flag]
+    code, rep, err = run_cli(capsys, argv[:1] + ["--graph", loop_file] + argv[1:])
+    assert code == 2 and rep is None
+    assert err.startswith("input error: ") and "Traceback" not in err
 
 
 def test_report_determinism(tmp_path, graph_file, capsys):
@@ -208,7 +229,7 @@ def test_realize_roundtrip(capsys, tmp_path, loop_file):
     assert rep["interpolation_residual"] < 1e-10
     assert rep["system_written_to"] == str(sysout)
     g = Graph(["u"], [("z", "u", "u")])
-    s = load_system(g, str(sysout))
+    s = system_from_dict(g, json.loads(sysout.read_text()))
     held = make_dual_point(g, {"z": 0.25})
     assert abs(transfer_eval(s, held)[0, 0] - np.conj(0.25)) < 1e-10
 
@@ -296,6 +317,122 @@ def test_autom_demo(capsys):
     assert rep["kernel_ideal"]["passed"]
 
 
+# the top-level keys of each subcommand's report on a passing fixture
+FRAME_KEYS = {
+    "validate-graph": {"command", "inputs", "vertices", "edges", "loops", "is_full",
+                       "left_faithful", "sources_missing", "passed"},
+    "fock-check": {"command", "inputs", "tol", "N", "deviations", "worst_residual", "dim",
+                   "passed"},
+    "eval": {"command", "inputs", "mode", "point_norm", "value", "value_max_abs", "passed"},
+    "pick": {"command", "inputs", "tol", "blocks", "worst_residual", "feasible", "passed"},
+    "schur-check": {"command", "inputs", "tol", "blocks", "worst_residual", "passed"},
+    "transfer": {"command", "inputs", "tol", "N", "validation", "value", "series_residual",
+                 "tail_bound", "worst_residual", "passed"},
+    "realize": {"command", "inputs", "tol", "multiplicities", "gram_ranks", "padding",
+                "padding_feasible", "coisometry_residual", "interpolation_residual",
+                "worst_residual", "system_written_to", "system", "passed"},
+    "mobius": {"command", "inputs", "tol", "colligation", "g_at_zero_vs_gamma",
+               "g_at_gamma_vs_zero", "image_weights", "image_norm", "involution_residual",
+               "worst_residual", "passed"},
+    "autom-demo": {"command", "tol", "lambda", "N", "seed", "points", "worst_residual",
+                   "kernel_ideal", "passed"},
+}
+TOL_COMMANDS = {name for name, keys in FRAME_KEYS.items() if "tol" in keys}
+
+
+def passing_argvs(tmp_path, graph_file, loop_file):
+    """One passing invocation of every subcommand, on the fixtures of the tests above."""
+    g, loop = two_vertex_example(), Graph(["u"], [("z", "u", "u")])
+    poly = write_json(tmp_path / "poly.json", poly_to_terms(HardyPoly(g, {"v": 2.0, ("e",): 3.0})))
+    pt = write_json(tmp_path / "pt.json", point_to_dict(make_dual_point(g, {"e": 0.2, "g": 0.4j})))
+    gamma = write_json(tmp_path / "gamma.json",
+                       central_to_dict(make_central_point(g, {"g": 0.3 - 0.4j})))
+    pick = write_json(tmp_path / "pick.json",
+                      pick_payload(np.array([0.3, 0.2 - 0.5j]), 0.6 * np.array([0.3, 0.2 - 0.5j])))
+    samples = write_json(tmp_path / "samples.json", {
+        "points": [{"weights": {"z": [0.0, 0.0]}}, {"weights": {"z": [0.5, 0.0]}}],
+        "values": [[[[0.0, 0.0]]], [[[0.5, 0.0]]]], "q1": ["u"], "q2": ["u"]})
+    s = SystemMatrix(loop, {"u": 1}, ("u",), ("u",), A={"u": 0.6}, B={"u": np.array([[0.8]])},
+                     C={"z": np.array([[0.8]])}, D={"z": np.array([[-0.6]])})
+    system = write_json(tmp_path / "sys.json", system_to_dict(s))
+    loop_pt = write_json(tmp_path / "loop_pt.json",
+                         point_to_dict(make_dual_point(loop, {"z": 0.3})))
+    return {
+        "validate-graph": ["validate-graph", "--graph", graph_file],
+        "fock-check": ["fock-check", "--graph", graph_file, "--N", "3"],
+        "eval": ["eval", "--graph", graph_file, "--poly", poly, "--point", pt],
+        "pick": ["pick", "--graph", loop_file, "--points", pick],
+        "schur-check": ["schur-check", "--graph", loop_file, "--points", samples],
+        "transfer": ["transfer", "--graph", loop_file, "--system", system, "--point", loop_pt],
+        "realize": ["realize", "--graph", loop_file, "--points", samples,
+                    "--out", str(tmp_path / "realized.json")],
+        "mobius": ["mobius", "--graph", graph_file, "--gamma", gamma, "--point", pt],
+        "autom-demo": ["autom-demo", "--npoints", "3"],
+    }
+
+
+def test_report_frame(capsys, tmp_path, graph_file, loop_file):
+    argvs = passing_argvs(tmp_path, graph_file, loop_file)
+    assert set(argvs) == set(FRAME_KEYS) == set(parser_subcommands())
+    for name, argv in argvs.items():
+        code, rep, err = run_cli(capsys, argv)
+        assert (code, err) == (0, ""), name
+        assert set(rep) == FRAME_KEYS[name], name
+        assert rep["command"] == name and rep["passed"] is True
+        files = {a[2:] for a, b in zip(argv, argv[1:]) if b.endswith(".json") and a != "--out"}
+        assert set(rep.get("inputs", {})) == files, name
+    # validate-graph and eval never read a tolerance, so they take none
+    for argv in (argvs["validate-graph"], argvs["eval"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", "1e-9"])
+        assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_cached_parser_keeps_no_state(capsys, tmp_path, graph_file, loop_file):
+    argvs = passing_argvs(tmp_path, graph_file, loop_file)
+    sysout = tmp_path / "realized.json"
+    runs = []
+    for name in ("eval", "fock-check", "realize", "eval"):
+        assert main(argvs[name]) == 0
+        runs.append((argvs[name], capsys.readouterr().out,
+                     sysout.read_bytes() if name == "realize" else None))
+    assert runs[0][1] == runs[3][1]
+    for argv, out, written in runs:
+        if written is not None:
+            sysout.unlink()
+        r = subprocess.run([sys.executable, "-m", "graph_hardy.cli"] + argv,
+                           capture_output=True, text=True, env=package_env())
+        assert (r.returncode, r.stdout, r.stderr) == (0, out, "")
+        if written is not None:
+            assert sysout.read_bytes() == written
+
+
+def parser_subcommands():
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return list(action.choices)
+
+
+@pytest.mark.parametrize("name", parser_subcommands())
+def test_subcommand_help(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: graph-hardy %s" % name)
+    assert ("--tol" in out) == (name in TOL_COMMANDS)
+
+
+def package_env():
+    """os.environ with the imported package's directory first on PYTHONPATH,
+    so subprocesses import the package under test, wherever pytest found it."""
+    package_dir = str(Path(graph_hardy.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_dir, env.get("PYTHONPATH")]))
+    return env
+
+
 def declared_script_target(name):
     """The `module:attr` that pyproject.toml declares for console script `name`.
 
@@ -314,10 +451,7 @@ def declared_script_target(name):
 def test_module_and_script_entry_points(tmp_path):
     gfile = tmp_path / "g.json"
     gfile.write_text(json.dumps(graph_to_dict(two_vertex_example())))
-    # the subprocesses import the package under test, wherever pytest found it
-    package_dir = str(Path(graph_hardy.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_dir, env.get("PYTHONPATH")]))
+    env = package_env()
     r = subprocess.run([sys.executable, "-m", "graph_hardy.cli", "validate-graph",
                         "--graph", str(gfile)], capture_output=True, text=True, env=env)
     assert r.returncode == 0

@@ -24,7 +24,6 @@ from graph_hardy import (
     two_vertex_example,
     zero_point,
 )
-from graph_hardy.dual_eval import load_point, load_points
 
 
 @pytest.fixture
@@ -163,18 +162,12 @@ def test_graph_mismatch(g2):
         evaluate_poly(HardyPoly.one(other), p1)
 
 
-def test_point_json_roundtrip(tmp_path, g2):
+def test_point_json_roundtrip(g2):
     p = make_dual_point(g2, {"e": 0.1 - 0.2j, "f": 0.3, "g": 0.25j})
     d = point_to_dict(p)
     q = point_from_dict(g2, d)
     np.testing.assert_allclose(q.weights, p.weights, atol=1e-15)
-    single = tmp_path / "point.json"
-    single.write_text(json.dumps(d))
-    np.testing.assert_allclose(load_point(g2, str(single)).weights, p.weights)
-    many = tmp_path / "points.json"
-    many.write_text(json.dumps({"points": [d, d]}))
-    pts = load_points(g2, str(many))
-    assert len(pts) == 2
-    assert len(load_points(g2, str(single))) == 1
+    text = json.dumps(d)
+    np.testing.assert_allclose(point_from_dict(g2, json.loads(text)).weights, p.weights)
     with pytest.raises(GraphError):
         point_from_dict(g2, {"nope": {}})
