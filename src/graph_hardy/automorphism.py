@@ -5,8 +5,9 @@ vertex actions, so it decomposes over the parallel classes: for each
 ordered vertex pair (src, dst) it restricts to a unitary on the span of
 the edges with that source and range.  Such a u induces an automorphism
 alpha_u of the Hardy algebra by S_e |-> S_{u delta_e} on the generators
-and P_v |-> P_v; composing with the Mobius involution of a central
-point gives the full automorphism group action used here.
+and P_v |-> P_v, computed with hardy_mul as the product of the edge
+images along each path term; composing with the Mobius involution of a
+central point gives the full automorphism group action used here.
 
 The two-vertex worked example (e: v -> w, f: w -> v, g: w -> w) has a
 one-parameter Mobius family alpha_lambda indexed by the loop weight.
@@ -25,7 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph_core import GraphError, _complex_from_json, _complex_to_json, two_vertex_example
+from .graph_core import (GraphError, _complex_from_json, _complex_to_json, _path_edges,
+                         path_range, two_vertex_example)
 from .dual_eval import evaluate_poly
 from .fock import HardyPoly, random_poly
 from .mobius import CentralPoint, _check_edge_support, _point_from_edge_support, mobius_matrix
@@ -42,9 +44,7 @@ class BimoduleUnitary:
 
     def __init__(self, graph, blocks, utol=1e-12):
         self.graph = graph
-        classes = {}
-        for e in graph.edges:
-            classes.setdefault((e.src, e.dst), []).append(e.name)
+        classes = _parallel_classes(graph)
         got = {}
         for key, (edges, mat) in blocks.items():
             key = (str(key[0]), str(key[1]))
@@ -78,22 +78,23 @@ class BimoduleUnitary:
         return U
 
 
-def identity_unitary(g):
-    blocks = {}
+def _parallel_classes(g):
+    """(src, dst) -> list of the edges from src to dst, in edge order."""
+    classes = {}
     for e in g.edges:
-        blocks.setdefault((e.src, e.dst), []).append(e.name)
-    return BimoduleUnitary(g, {k: (tuple(v), np.eye(len(v))) for k, v in blocks.items()})
+        classes.setdefault((e.src, e.dst), []).append(e.name)
+    return classes
+
+
+def identity_unitary(g):
+    return diagonal_unitary(g, {})
 
 
 def diagonal_unitary(g, phases):
-    """u(delta_e) = phases[e] delta_e; every phase must be unimodular."""
-    blocks = {}
-    for e in g.edges:
-        blocks.setdefault((e.src, e.dst), []).append(e.name)
-    out = {}
-    for key, edges in blocks.items():
-        out[key] = (tuple(edges), np.diag([complex(phases.get(e, 1.0)) for e in edges]))
-    return BimoduleUnitary(g, out)
+    """u(delta_e) = phases.get(e, 1) delta_e; every phase must be unimodular."""
+    return BimoduleUnitary(g, {
+        key: (tuple(edges), np.diag([complex(phases.get(e, 1.0)) for e in edges]))
+        for key, edges in _parallel_classes(g).items()})
 
 
 def unitary_from_dict(g, data):
@@ -121,31 +122,22 @@ def unitary_to_dict(u):
 
 
 def apply_alpha_u(u, x):
-    """alpha_u on a HardyPoly: substitute S_e -> sum_f U[f, e] S_f in every
-    path term and keep vertex terms fixed."""
+    """alpha_u on a HardyPoly: with alpha(S_e) = sum_f U[f, e] S_f, a term
+    c S_{e1} ... S_{ek} goes to c P_{r(e1)} alpha(S_{e1}) ... alpha(S_{ek})
+    through hardy_mul, and a vertex term c P_v stays fixed."""
     g = u.graph
     if x.graph != g:
         raise GraphError("polynomial lives on a different graph")
     U = u.full_matrix()
-    out = {}
+    image = {e.name: HardyPoly(g, {(f.name,): U[j, i] for j, f in enumerate(g.edges)})
+             for i, e in enumerate(g.edges)}
+    out = HardyPoly.zero(g)
     for p, c in x.coeffs.items():
-        if isinstance(p, str):
-            out[p] = out.get(p, 0j) + c
-            continue
-        # expand the tensor product of the per-edge images
-        partial = {(): c}
-        for e in p:
-            col = U[:, g.eindex[e]]
-            nxt = {}
-            for prefix, amp in partial.items():
-                for fi in np.nonzero(col)[0]:
-                    f = g.edges[fi].name
-                    nxt[prefix + (f,)] = nxt.get(prefix + (f,), 0j) + amp * col[fi]
-            partial = nxt
-        for q, amp in partial.items():
-            if amp != 0:
-                out[q] = out.get(q, 0j) + amp
-    return HardyPoly(g, out)
+        term = HardyPoly(g, {path_range(g, p): c})
+        for e in _path_edges(p):
+            term = term * image[e]
+        out = out + term
+    return out
 
 
 def pullback_evaluate(gamma, u, x, point):

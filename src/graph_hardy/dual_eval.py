@@ -34,6 +34,7 @@ import numpy as np
 from .graph_core import (
     GraphError,
     _complex_from_json,
+    _path_edges,
     _complex_to_json,
     _json_object,
     as_edge_function,
@@ -53,10 +54,11 @@ class DualPoint:
         self.graph = graph
         self.weights = as_edge_function(graph, weights)
         self.norm = dual_norm(graph, self.weights)
+        # written so that a NaN norm fails too
         if allow_boundary:
-            if self.norm > 1.0 + 1e-9:
+            if not self.norm <= 1.0 + 1e-9:
                 raise BoundaryError("dual point norm %.6g exceeds the closed ball" % self.norm)
-        elif self.norm >= 1.0:
+        elif not self.norm < 1.0:
             raise BoundaryError(
                 "dual point norm %.6g is not inside the open ball "
                 "(pass allow_boundary=True for boundary evaluation)" % self.norm)
@@ -154,8 +156,8 @@ def resolvent_matrix(p1, p2):
 def evaluate_poly(x, point):
     """Value of the HardyPoly x at the dual point, as an nv x nv matrix.
 
-    Vertex terms land on the diagonal; a path term contributes the product
-    of its conjugated edge weights at (r(path), s(path)).
+    A term contributes the product of its conjugated edge weights at
+    (r(path), s(path)); for a vertex that is the empty product at (v, v).
     """
     g = x.graph
     if g != point.graph:
@@ -163,14 +165,10 @@ def evaluate_poly(x, point):
     out = np.zeros((g.nv, g.nv), dtype=complex)
     cw = np.conj(point.weights)
     for p, c in x.coeffs.items():
-        if isinstance(p, str):
-            i = g.vindex[p]
-            out[i, i] += c
-        else:
-            amp = c
-            for e in p:
-                amp *= cw[g.eindex[e]]
-            out[g.vindex[path_range(g, p)], g.vindex[path_source(g, p)]] += amp
+        amp = c
+        for e in _path_edges(p):
+            amp *= cw[g.eindex[e]]
+        out[g.vindex[path_range(g, p)], g.vindex[path_source(g, p)]] += amp
     return out
 
 

@@ -13,10 +13,11 @@ S_e* S_e = P_{s(e)}, and for each vertex the row sum
 sum_{r(e) = v} S_e S_e* is dominated by P_v.
 
 A HardyPoly is a finitely supported coefficient map on paths; it acts on
-the Fock space by concatenation, which is how all norms and relations
-here are computed.  Truncating the basis at path length N compresses the
-operators to a finite block; the compression kills the top degree, so
-relation checks are asserted on the paths of length at most N - 1.
+the Fock space by concatenation (hardy_mul, which also computes the gauge
+automorphism alpha_u as a product of edge images), which is how all norms
+and relations here are computed.  Truncating the basis at path length N
+compresses the operators to a finite block; the compression kills the
+top degree, so relation checks are asserted on paths of length <= N - 1.
 
 The path basis (Muhly and Solel, Math. Ann. 2004) is handled as integers:
 each call builds a graph_core._PathIndex, whose child tables give the
@@ -37,9 +38,9 @@ import scipy.sparse.linalg
 from .graph_core import (
     GraphError,
     _PathIndex,
+    _path_edges,
     compose,
     is_path,
-    path_basis,
     path_source,
 )
 
@@ -47,8 +48,8 @@ from .graph_core import (
 class HardyPoly:
     """Finitely supported path -> coefficient map, multiplied by concatenation.
 
-    Vertex paths are vertex names (str), positive-length paths are tuples
-    of edge names.  Zero coefficients are dropped on construction.
+    Paths are written as in graph_core.  Zero coefficients are dropped on
+    construction.
     """
 
     def __init__(self, graph, coeffs=None):
@@ -88,7 +89,7 @@ class HardyPoly:
 
     # algebra --------------------------------------------------------------
     def degree(self):
-        return max((0 if isinstance(p, str) else len(p) for p in self.coeffs), default=0)
+        return max((len(_path_edges(p)) for p in self.coeffs), default=0)
 
     def __add__(self, other):
         out = dict(self.coeffs)
@@ -97,10 +98,7 @@ class HardyPoly:
         return HardyPoly(self.graph, out)
 
     def __sub__(self, other):
-        out = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            out[p] = out.get(p, 0j) - c
-        return HardyPoly(self.graph, out)
+        return self + (-other)
 
     def __neg__(self):
         return HardyPoly(self.graph, {p: -c for p, c in self.coeffs.items()})
@@ -110,8 +108,7 @@ class HardyPoly:
             return HardyPoly(self.graph, {p: c * other for p, c in self.coeffs.items()})
         return hardy_mul(self, other)
 
-    def __rmul__(self, scalar):
-        return HardyPoly(self.graph, {p: scalar * c for p, c in self.coeffs.items()})
+    __rmul__ = __mul__
 
     def coeff(self, path):
         return self.coeffs.get(path, 0j)
@@ -120,7 +117,7 @@ class HardyPoly:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
 
     def __repr__(self):
-        terms = sorted(self.coeffs.items(), key=lambda kv: (0 if isinstance(kv[0], str) else len(kv[0]), str(kv[0])))
+        terms = sorted(self.coeffs.items(), key=lambda kv: (len(_path_edges(kv[0])), str(kv[0])))
         return "HardyPoly(%s)" % ", ".join("%r: %.4g%+.4gj" % (p, c.real, c.imag) for p, c in terms)
 
 
@@ -139,9 +136,7 @@ def hardy_mul(x, y):
 
 def fourier_coeff(x, k):
     """The degree-k homogeneous part of x (k = 0 keeps the vertex terms)."""
-    sel = {p: c for p, c in x.coeffs.items()
-           if (0 if isinstance(p, str) else len(p)) == k}
-    return HardyPoly(x.graph, sel)
+    return HardyPoly(x.graph, {p: c for p, c in x.coeffs.items() if len(_path_edges(p)) == k})
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +175,7 @@ def creation_matrix(x, N):
     index = _PathIndex(g, N)
     rows, cols, vals = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0, complex)]
     for p, c in x.coeffs.items():
-        edges = [] if isinstance(p, str) else [g.eindex[e] for e in reversed(p)]
+        edges = [g.eindex[e] for e in reversed(_path_edges(p))]
         s = g.vindex[path_source(g, p)]
         for j in range(N + 1 - len(edges)):
             beta = np.flatnonzero(index.range[j] == s)
@@ -312,12 +307,8 @@ def certify_contraction(x, N, slack=1e-6):
 def random_poly(g, rng, degree=2, scale=1.0):
     """Random polynomial with independent complex Gaussian coefficients on
     every path of length <= degree."""
-    coeffs = {}
-    for k in range(degree + 1):
-        for p in path_basis(g, k):
-            c = (rng.standard_normal() + 1j * rng.standard_normal()) * scale
-            coeffs[p] = c
-    return HardyPoly(g, coeffs)
+    return HardyPoly(g, {p: (rng.standard_normal() + 1j * rng.standard_normal()) * scale
+                         for p in fock_basis(g, degree)})
 
 
 # ---------------------------------------------------------------------------

@@ -169,17 +169,18 @@ def is_path(g, path):
     return True
 
 
+def _path_edges(path):
+    """The edges of a path as a tuple; () for a vertex."""
+    return () if isinstance(path, str) else path
+
+
 def compose(g, p, q):
     """Concatenate paths p then q (p acts after q).  None if not composable."""
-    if isinstance(p, str):
-        if isinstance(q, str):
-            return q if p == q else None
-        return q if p == path_range(g, q) else None
-    if isinstance(q, str):
-        return p if path_source(g, p) == q else None
     if path_source(g, p) != path_range(g, q):
         return None
-    return p + q
+    if isinstance(p, str):
+        return q
+    return p if isinstance(q, str) else p + q
 
 
 def path_basis(g, k):

@@ -43,7 +43,7 @@ class CentralPoint:
             weights[graph.eindex[name]] = complex(val)
         self.weights = weights
         self.norm = dual_norm(graph, weights)
-        if self.norm >= 1.0:
+        if not self.norm < 1.0:  # NaN fails too
             raise GraphError("central point norm %.6g must be < 1" % self.norm)
 
     def as_dual_point(self):
@@ -74,17 +74,13 @@ def central_to_dict(c):
 # ---------------------------------------------------------------------------
 # defect operators
 
-def _sqrtm_psd(M):
-    lam, U = np.linalg.eigh(0.5 * (M + M.conj().T))
-    lam = np.clip(lam, 0.0, None)
-    return (U * np.sqrt(lam)) @ U.conj().T
-
-
-def _inv_sqrtm_pd(M, floor=1e-14):
+def _sqrtm_pd(M, floor=1e-14):
+    """(M^{1/2}, M^{-1/2}) of a positive definite M from one eigh."""
     lam, U = np.linalg.eigh(0.5 * (M + M.conj().T))
     if lam.min(initial=1.0) < floor:
         raise ValueError("defect operator is singular; the point is not inside the ball")
-    return (U / np.sqrt(lam)) @ U.conj().T
+    root = np.sqrt(lam)
+    return (U * root) @ U.conj().T, (U / root) @ U.conj().T
 
 
 def mobius_matrix(gamma, point):
@@ -98,8 +94,8 @@ def mobius_matrix(gamma, point):
         raise GraphError("point and center live on different graphs")
     G = gamma.as_dual_point().matrix()            # ne x nv
     eta_adj = point.adjoint()                     # nv x ne
-    d_vertex = _sqrtm_psd(np.eye(g.nv) - G.conj().T @ G)
-    inv_d_edge = _inv_sqrtm_pd(np.eye(g.ne) - G @ G.conj().T)
+    d_vertex, _ = _sqrtm_pd(np.eye(g.nv) - G.conj().T @ G)
+    _, inv_d_edge = _sqrtm_pd(np.eye(g.ne) - G @ G.conj().T)
     core = np.linalg.solve(np.eye(g.nv) - eta_adj @ G, G.conj().T - eta_adj)
     M = d_vertex @ core @ inv_d_edge
     _check_edge_support(g, M, "Mobius image")
@@ -140,9 +136,8 @@ def mobius_colligation(gamma):
     unitarity residuals."""
     g = gamma.graph
     G = gamma.as_dual_point().matrix()
-    d_vertex = _sqrtm_psd(np.eye(g.nv) - G.conj().T @ G)
-    d_edge = _sqrtm_psd(np.eye(g.ne) - G @ G.conj().T)
-    inv_d_edge = _inv_sqrtm_pd(np.eye(g.ne) - G @ G.conj().T)
+    d_vertex, _ = _sqrtm_pd(np.eye(g.nv) - G.conj().T @ G)
+    d_edge, inv_d_edge = _sqrtm_pd(np.eye(g.ne) - G @ G.conj().T)
     top = np.hstack([d_vertex @ G.conj().T @ inv_d_edge, -d_vertex])
     bottom = np.hstack([d_edge, G])
     V = np.vstack([top, bottom])

@@ -359,10 +359,7 @@ def taylor_extract(s, N):
 
 
 def taylor_poly(s, N):
-    total = HardyPoly.zero(s.graph)
-    for piece in taylor_extract(s, N):
-        total = total + piece
-    return total
+    return sum(taylor_extract(s, N), HardyPoly.zero(s.graph))
 
 
 # ---------------------------------------------------------------------------
@@ -379,29 +376,24 @@ def _haar_unitary(rng, n):
 
 def feasible_multiplicities(g, q1, q2, m):
     """Shrink m / q2 until every vertex block can be a coisometry, i.e.
-    domain_v >= codomain_v for all v.  Returns (q2, m).  On graphs whose
-    branching loops force unbounded state growth the only fixed points
-    push multiplicities down, so this always terminates."""
-    m = dict(m)
-    q1 = set(q1)
-    q2 = set(q2)
-    for _ in range(10000):
-        bad = None
+    domain_v >= codomain_v for all v.  Returns (q2, m).  Each repair step
+    lowers sum(m) + |q2| by one, so the repair ends within that many steps."""
+    m, q1, q2 = dict(m), set(q1), set(q2)
+    if any(mv < 0 for mv in m.values()):
+        raise GraphError("multiplicities must be nonnegative")
+    for _ in range(sum(m.values()) + len(q2) + 1):
         for v in g.vertices:
             dom, cod = _block_dims(g, q1, q2, m, v)
             if dom < cod:
-                bad = v
                 break
-        if bad is None:
+        else:
             return tuple(v for v in g.vertices if v in q2), m
-        targets = [g.dst[e] for e in g.out_edges(bad) if m[g.dst[e]] > 0]
+        targets = [g.dst[e] for e in g.out_edges(v) if m[g.dst[e]] > 0]
         if targets:
             t = max(targets, key=lambda u: m[u])
             m[t] -= 1
-        elif bad in q2:
-            q2.discard(bad)
         else:
-            raise RuntimeError("unreachable: deficit with no reducible source")
+            q2.discard(v)  # no fiber left to shrink, so codomain_v = [v in q2]
     raise RuntimeError("feasibility repair did not terminate")
 
 
@@ -440,15 +432,19 @@ def _system_from_vertex_blocks(g, m, q1, q2, blocks):
 # ---------------------------------------------------------------------------
 # realization from samples
 
-def _pad_multiplicities(g, q1, q2, m, max_total=4000):
+_PAD_MAX_TOTAL = 4000
+
+
+def _pad_multiplicities(g, q1, q2, m):
     """Smallest padding p >= 0 with domain >= codomain once m + p is used.
-    Returns (p, feasible).  The iteration is monotone; if the out-degree
-    structure amplifies multiplicities (branching loops) it diverges and
-    we report infeasibility instead."""
+    Returns (p, feasible).  Every sweep that changes p raises its total; if
+    the out-degree structure amplifies multiplicities (branching loops) the
+    total diverges, and once it passes _PAD_MAX_TOTAL we report
+    infeasibility instead."""
     q1s, q2s = set(q1), set(q2)
     p = {v: 0 for v in g.vertices}
     mp = dict(m)  # m + p, kept in step with p
-    for _ in range(10000):
+    while True:
         changed = False
         for v in g.vertices:
             dom, cod = _block_dims(g, q1s, q2s, mp, v)
@@ -458,9 +454,8 @@ def _pad_multiplicities(g, q1, q2, m, max_total=4000):
                 changed = True
         if not changed:
             return p, True
-        if sum(p.values()) > max_total:
+        if sum(p.values()) > _PAD_MAX_TOTAL:
             return {v: 0 for v in g.vertices}, False
-    return {v: 0 for v in g.vertices}, False
 
 
 def _complete_block(blk, rank_tol=1e-8):

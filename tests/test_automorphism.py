@@ -20,12 +20,16 @@ from graph_hardy import (
     mobius_matrix,
     pullback_evaluate,
     random_point,
+    random_poly,
     tau_lambda_matrix,
     two_vertex_alpha_lambda,
     two_vertex_example,
     unitary_from_dict,
     unitary_to_dict,
 )
+from graph_hardy.automorphism import _parallel_classes
+
+from conftest import random_graph
 
 
 def parallel_graph():
@@ -52,6 +56,73 @@ def test_bimodule_unitary_validation():
     with pytest.raises(GraphError):
         BimoduleUnitary(parallel_graph(),
                         {("p", "p"): (("a", "b"), np.array([[1.0, 1.0], [0.0, 1.0]]))})
+
+
+def test_bimodule_unitary_rejects_bad_blocks():
+    g = two_vertex_example()
+    blocks = {("v", "w"): (("e",), np.eye(1)), ("w", "v"): (("f",), np.eye(1)),
+              ("w", "w"): (("g",), np.eye(1))}
+    BimoduleUnitary(g, blocks)
+    with pytest.raises(GraphError, match="no edges from 'v' to 'v'"):
+        BimoduleUnitary(g, {**blocks, ("v", "v"): ((), np.eye(0))})
+    with pytest.raises(GraphError, match="must be 1 x 1"):
+        BimoduleUnitary(g, {**blocks, ("w", "w"): (("g",), np.eye(2))})
+
+
+def test_apply_alpha_u_rejects_other_graph():
+    with pytest.raises(GraphError, match="different graph"):
+        apply_alpha_u(identity_unitary(two_vertex_example()),
+                      HardyPoly(parallel_graph(), {("a",): 1.0}))
+
+
+def _alpha_u_by_prefix_expansion(u, x):
+    """Reference for apply_alpha_u: expand every path term edge by edge
+    into edge-tuple prefixes, substituting S_e -> sum_f U[f, e] S_f, and
+    keep vertex terms fixed."""
+    g = u.graph
+    U = u.full_matrix()
+    out = {}
+    for p, c in x.coeffs.items():
+        if isinstance(p, str):
+            out[p] = out.get(p, 0j) + c
+            continue
+        partial = {(): c}
+        for e in p:
+            col = U[:, g.eindex[e]]
+            nxt = {}
+            for prefix, amp in partial.items():
+                for fi in np.nonzero(col)[0]:
+                    f = g.edges[fi].name
+                    nxt[prefix + (f,)] = nxt.get(prefix + (f,), 0j) + amp * col[fi]
+            partial = nxt
+        for q, amp in partial.items():
+            if amp != 0:
+                out[q] = out.get(q, 0j) + amp
+    return HardyPoly(g, out)
+
+
+def test_apply_alpha_u_matches_prefix_expansion_bitwise():
+    # random per-class unitaries on random graphs with parallel edges: the
+    # hardy_mul product of edge images gives the reference's bits and key order
+    checked = 0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng)
+        classes = _parallel_classes(g)
+        if all(len(edges) == 1 for edges in classes.values()):
+            continue
+        blocks = {}
+        for key, edges in classes.items():
+            z = rng.standard_normal((len(edges),) * 2) + 1j * rng.standard_normal((len(edges),) * 2)
+            blocks[key] = (tuple(edges), np.linalg.qr(z)[0])
+        u = BimoduleUnitary(g, blocks)
+        x = random_poly(g, rng, degree=3)
+        got, want = apply_alpha_u(u, x), _alpha_u_by_prefix_expansion(u, x)
+        assert list(got.coeffs) == list(want.coeffs), seed
+        assert (np.array(list(got.coeffs.values())).tobytes()
+                == np.array(list(want.coeffs.values())).tobytes()), seed
+        checked += 1
+    assert checked >= 20
 
 
 def test_diagonal_gauge_frozen():

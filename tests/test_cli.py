@@ -136,6 +136,18 @@ def test_eval_direct_frozen(capsys, tmp_path, graph_file):
                                atol=1e-12)
 
 
+def test_eval_nan_weight_is_input_error(capsys, tmp_path, graph_file):
+    # json accepts NaN; a NaN weight is not a point of the open ball
+    g = two_vertex_example()
+    polyf = write_json(tmp_path / "poly.json", poly_to_terms(HardyPoly(g, {("e",): 1.0})))
+    ptf = tmp_path / "pt.json"
+    ptf.write_text('{"weights": {"e": NaN, "f": 0.1}}')
+    code, rep, err = run_cli(capsys, ["eval", "--graph", graph_file,
+                                      "--poly", polyf, "--point", str(ptf)])
+    assert code == 2 and rep is None
+    assert err.startswith("input error: ")
+
+
 def test_eval_pullback(capsys, tmp_path, graph_file):
     g = two_vertex_example()
     x = HardyPoly(g, {"v": 0.5, ("e",): 1.0, ("g",): -0.5})

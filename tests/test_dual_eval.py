@@ -61,6 +61,13 @@ def test_boundary_guard(g2):
     assert zero_point(g2).norm == 0.0
 
 
+@pytest.mark.parametrize("allow_boundary", [False, True])
+def test_nan_weight_is_outside_the_ball(g2, allow_boundary):
+    # a NaN norm fails every comparison, so "norm >= 1" alone lets it through
+    with pytest.raises(BoundaryError):
+        DualPoint(g2, [np.nan, 0.1, 0.2], allow_boundary=allow_boundary)
+
+
 def test_evaluate_frozen(g2):
     x = HardyPoly(g2, {"v": 2.0, ("e",): 3.0, ("f", "g"): 5.0})
     p = make_dual_point(g2, {"e": 0.2 + 0.1j, "f": -0.3, "g": 0.4j})

@@ -38,6 +38,8 @@ def test_central_point_guards():
         make_central_point(g, {"e": 0.5})  # not a loop
     with pytest.raises(GraphError):
         make_central_point(g, {"g": 1.0})  # on the boundary
+    with pytest.raises(GraphError):
+        CentralPoint(g, {"g": np.nan})
     c = make_central_point(g, {"g": 0.3 + 0.4j})
     assert abs(c.norm - 0.5) < 1e-15
     assert c.loop_weights() == {"g": 0.3 + 0.4j}

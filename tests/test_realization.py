@@ -135,6 +135,10 @@ def test_block_support_validation():
         SystemMatrix(g, {"v": -1}, ("v",), ("v",))
     with pytest.raises(GraphError):
         SystemMatrix(g, {"x": 1}, ("v",), ("v",))
+    with pytest.raises(GraphError, match="A block at 'w' outside q1 and q2"):
+        SystemMatrix(g, {}, ("v", "w"), ("v",), A={"w": 0.5})
+    with pytest.raises(GraphError, match="D block at unknown edge 'x'"):
+        SystemMatrix(g, {"v": 1}, ("v",), ("v",), D={"x": [[1.0]]})
 
 
 def test_classical_transfer_closed_form():
@@ -260,6 +264,14 @@ def test_feasible_multiplicities_branching_loop_collapses():
     assert q2 == ("v", "w")
 
 
+def test_feasible_multiplicities_long_repair_terminates():
+    # each repair step lowers sum(m) + |q2| by one; two loops at v need 12000 steps
+    g = Graph(["v"], [("a", "v", "v"), ("b", "v", "v")])
+    assert feasible_multiplicities(g, ["v"], ["v"], {"v": 12000}) == (("v",), {"v": 0})
+    with pytest.raises(GraphError, match="nonnegative"):
+        feasible_multiplicities(g, ["v"], ["v"], {"v": -1})
+
+
 def test_realize_classical_identity_function():
     # samples of X(z) = z at the nodes 0 and 0.5 pin the function down
     g = loop_graph()
@@ -350,6 +362,15 @@ def test_realize_rejects_unknown_vertex_names():
             realize_from_samples(pts, vals, q1, q2)
 
 
+def test_realize_rejects_mismatched_values():
+    g = two_vertex_example()
+    pts = [make_dual_point(g, {"g": c}) for c in (0.3, -0.4j)]
+    with pytest.raises(ValueError, match="one value matrix per point"):
+        realize_from_samples(pts, [np.zeros((2, 2))], ["v", "w"], ["w"])
+    with pytest.raises(GraphError, match="must be 2 x 2 matrices"):
+        realize_from_samples(pts, [np.zeros((2, 3))] * 2, ["v", "w"], ["w"])
+
+
 def test_realize_rejects_off_support_values():
     g = two_vertex_example()
     pts = [make_dual_point(g, {"g": 0.4})]
@@ -382,3 +403,7 @@ def test_system_json_roundtrip():
     np.testing.assert_allclose(s3.assemble(), s.assemble(), atol=1e-15)
     with pytest.raises(GraphError):
         system_from_dict(g, {"q1": ["v"]})
+    with pytest.raises(GraphError, match="matrix has shape"):
+        system_from_dict(g, dict(d, D={"g": [[[0.0, 0.0]] * 5] * 2}))
+    with pytest.raises(GraphError, match="needs multiplicities, q1, q2"):
+        system_from_dict(g, dict(d, q1=5))
