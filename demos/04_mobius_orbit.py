@@ -30,7 +30,7 @@ print("center weights:", gamma.loop_weights(), " norm:", gamma.norm)
 img0 = mobius_apply(gamma, zero_point(g))
 print("g(0) weights:   ", dict(zip([e.name for e in g.edges],
                                    np.round(img0.weights, 6))))
-back = mobius_apply(gamma, gamma.as_dual_point())
+back = mobius_apply(gamma, gamma)
 print("g(center) norm: ", back.norm)
 
 # and it is an involution on the whole ball

@@ -8,10 +8,10 @@ arbitrary finite directed graph.
 """
 
 from .graph_core import (
+    ConditioningError,
     Graph,
     GraphError,
     build_graph,
-    center_basis,
     compose,
     fullness_flags,
     graph_to_dict,
@@ -59,7 +59,6 @@ from .pick_kernel import (
     schur_kernel_matrix,
 )
 from .realization import (
-    ConditioningError,
     FeasibilityError,
     SystemMatrix,
     feasible_multiplicities,

@@ -39,10 +39,10 @@ class BimoduleUnitary:
     blocks: dict (src, dst) -> (tuple of edge names, unitary ndarray).
     Every parallel class with at least one edge must be covered exactly
     once, the listed edges must be exactly that class, and each matrix
-    must be unitary within utol.
+    must be unitary within 1e-12 (largest entry of U U* - id and U* U - id).
     """
 
-    def __init__(self, graph, blocks, utol=1e-12):
+    def __init__(self, graph, blocks):
         self.graph = graph
         classes = _parallel_classes(graph)
         got = {}
@@ -59,7 +59,7 @@ class BimoduleUnitary:
                 raise GraphError("block %r must be %d x %d" % (key, d, d))
             dev = float(np.abs(mat @ mat.conj().T - np.eye(d)).max(initial=0.0))
             dev = max(dev, float(np.abs(mat.conj().T @ mat - np.eye(d)).max(initial=0.0)))
-            if dev > utol:
+            if dev > 1e-12:
                 raise GraphError("block %r is not unitary (deviation %.3e)" % (key, dev))
             got[key] = (tuple(edges), mat)
         missing = set(classes) - set(got)
@@ -186,6 +186,8 @@ def two_vertex_alpha_lambda(lam, N, graph=None):
     lam = complex(lam)
     if abs(lam) >= 1.0:
         raise ValueError("|lambda| must be < 1")
+    if N < 0:
+        raise ValueError("truncation order N must be >= 0, got %d" % N)
     root = np.sqrt(1.0 - abs(lam) ** 2)
     te = {}
     for k in range(N):
@@ -217,9 +219,10 @@ def tau_lambda_matrix(lam, point):
     return M
 
 
-def kernel_ideal_check(samples, rng=None, n_multiples=10, degree=2, tol=1e-13):
+def kernel_ideal_check(samples, rng=None, n_multiples=10, tol=1e-13):
     """Evaluate the commutator [S_g, S_e S_f] and random two-sided
-    multiples of it at the given dual points of the two-vertex example.
+    multiples of it (by degree-2 polynomials) at the given dual points of
+    the two-vertex example.
 
     The commutator generates the kernel of the evaluation at every
     central point, and in fact every evaluation here kills it, so all
@@ -238,8 +241,8 @@ def kernel_ideal_check(samples, rng=None, n_multiples=10, degree=2, tol=1e-13):
         gen_max = max(gen_max, float(np.abs(evaluate_poly(K, pt)).max(initial=0.0)))
     mult_max = 0.0
     for _ in range(n_multiples):
-        a = random_poly(g, rng, degree=degree, scale=0.5)
-        b = random_poly(g, rng, degree=degree, scale=0.5)
+        a = random_poly(g, rng, degree=2, scale=0.5)
+        b = random_poly(g, rng, degree=2, scale=0.5)
         y = a * K * b
         for pt in samples:
             mult_max = max(mult_max, float(np.abs(evaluate_poly(y, pt)).max(initial=0.0)))

@@ -14,14 +14,16 @@ subcommands that take --graph (all but autom-demo), then "tol" for
 those that take --tol (all but validate-graph and eval).
 
 Exit codes: 0 when "passed" is true; 1 when it is false, or when
-realize finds the data infeasible; 2 on malformed input, with "input
-error: ..." on stderr and no report; 3 when the numerics break down on
-valid input (realize's ConditioningError).  The two realize failures
-print a report of only "command", "passed", "error" and "kind"
-("infeasible" or "conditioning").  Reports embed the worst residual
-observed and are byte-identical across runs for the same inputs;
-autom-demo draws its points from --seed, the only option that takes a
-seed.
+realize finds the data infeasible; 2 on malformed input, a negative
+--N or a NaN or infinite JSON number included, with "input error: ..."
+on stderr and no report; 3 when the numerics
+break down on valid input (ConditioningError, from realize, or from
+mobius and eval --gamma at a central point next to the boundary).
+These two failures print a report of only "command", "passed", "error"
+and "kind" ("infeasible" or "conditioning").  Reports embed the worst
+residual observed and are byte-identical across runs for the same
+inputs; autom-demo draws its points from --seed, the only option that
+takes a seed.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import sys
 import numpy as np
 
 from .graph_core import (
-    GraphError,
     _complex_from_json,
     _complex_to_json,
     build_graph,
@@ -43,13 +44,8 @@ from .graph_core import (
     two_vertex_example,
 )
 from .fock import cuntz_toeplitz_check, poly_from_terms
-from .dual_eval import BoundaryError, evaluate_poly, point_from_dict, random_point, zero_point
-from .pick_kernel import (
-    StructuralError,
-    is_completely_positive,
-    pick_map_matrix,
-    schur_kernel_matrix,
-)
+from .dual_eval import evaluate_poly, point_from_dict, random_point, zero_point
+from .pick_kernel import StructuralError, pick_feasibility, schur_class_check
 from .realization import (
     FeasibilityError,
     ConditioningError,
@@ -162,8 +158,8 @@ def cmd_pick(args, g, read):
     data, pts = _points(g, read)
     B = _complex_from_json(data["B"], ndim=3) if "B" in data else [np.eye(g.nv)] * len(pts)
     C = _complex_from_json(data["C"], ndim=3)
-    rep = is_completely_positive(pick_map_matrix(pts, B, C), tol=args.tol)
-    return dict(_cp_fields(rep), feasible=rep["cp"])
+    rep = pick_feasibility(pts, B, C, tol=args.tol)
+    return dict(_cp_fields(rep), feasible=rep["feasible"])
 
 
 @_command("schur-check", "CP test of the Schur kernel for samples",
@@ -171,7 +167,7 @@ def cmd_pick(args, g, read):
 def cmd_schur_check(args, g, read):
     data, pts = _points(g, read)
     values = _complex_from_json(data["values"], ndim=3)
-    return _cp_fields(is_completely_positive(schur_kernel_matrix(pts, values), tol=args.tol))
+    return _cp_fields(schur_class_check(pts, values, tol=args.tol))
 
 
 @_command("transfer", "validate a system and evaluate its transfer",
@@ -219,7 +215,7 @@ def cmd_mobius(args, g, read):
     gamma = central_from_dict(g, read("gamma"))
     _, coll = mobius_colligation(gamma)
     fixed_dev = _max_abs(mobius_apply(gamma, zero_point(g)).weights - gamma.weights)
-    zero_dev = _max_abs(mobius_apply(gamma, gamma.as_dual_point()).weights)
+    zero_dev = _max_abs(mobius_apply(gamma, gamma).weights)
     report = {"colligation": coll, "g_at_zero_vs_gamma": fixed_dev,
               "g_at_gamma_vs_zero": zero_dev}
     worst = max(coll["coisometry_residual"], coll["isometry_residual"], fixed_dev, zero_dev)
@@ -308,8 +304,7 @@ def main(argv=None):
         _emit({"command": args.command, "passed": False, "error": str(exc),
                "kind": "infeasible" if infeasible else "conditioning"}, report_to)
         return 1 if infeasible else 3
-    except (GraphError, BoundaryError, StructuralError,
-            OSError, KeyError, IndexError, TypeError, ValueError) as exc:
+    except (StructuralError, OSError, KeyError, IndexError, TypeError, ValueError) as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return 2
     _emit(report, report_to)

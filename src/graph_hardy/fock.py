@@ -22,11 +22,11 @@ top degree, so relation checks are asserted on paths of length <= N - 1.
 The path basis (Muhly and Solel, Math. Ann. 2004) is handled as integers:
 each call builds a graph_core._PathIndex, whose child tables give the
 position of e beta for every edge e and path beta, and creation_matrix
-gathers through them.  Edge-name tuples are built only for fock_basis,
-fock_index and path_basis.  cuntz_toeplitz_check never densifies a block;
-fock_norm_bound does so only up to a small dimension or when ARPACK fails,
-and ARPACK starts from a fixed-seed vector, so a bound is the same on
-every call.
+gathers through them.  Edge-name tuples are built only for fock_basis
+and path_basis.  A negative truncation order N raises ValueError.
+cuntz_toeplitz_check never densifies a block; fock_norm_bound does so
+only up to a small dimension or when ARPACK fails, and ARPACK starts
+from a fixed-seed vector, so a bound is the same on every call.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import scipy.sparse.linalg
 from .graph_core import (
     GraphError,
     _PathIndex,
+    _complex_from_json,
     _path_edges,
     compose,
     is_path,
@@ -82,10 +83,7 @@ class HardyPoly:
     @classmethod
     def shift(cls, graph, *edges):
         """S_alpha for the path alpha = edges (leftmost edge acts last)."""
-        path = tuple(edges)
-        if len(path) == 1 and isinstance(edges[0], tuple):
-            path = edges[0]
-        return cls(graph, {path: 1.0})
+        return cls(graph, {edges: 1.0})
 
     # algebra --------------------------------------------------------------
     def degree(self):
@@ -154,12 +152,8 @@ _ARPACK_SEED = 0
 def fock_basis(g, N):
     """All paths of length 0..N: vertices first, then by length, each level
     in the lexicographic edge-index order of path_basis."""
-    return [p for level in _PathIndex(g, N).levels() for p in level]
-
-
-def fock_index(g, N):
-    basis = fock_basis(g, N)
-    return basis, {p: i for i, p in enumerate(basis)}
+    index = _PathIndex(g, N)
+    return [p for k, r in enumerate(index.range) for p in index.paths(k, np.arange(len(r)))]
 
 
 def creation_matrix(x, N):
@@ -334,6 +328,6 @@ def poly_from_terms(g, terms):
             path = key["vertex"]
         else:
             path = tuple(key)
-        c = complex(t.get("re", 0.0), t.get("im", 0.0))
+        c = _complex_from_json([t.get("re", 0.0), t.get("im", 0.0)])
         coeffs[path] = coeffs.get(path, 0j) + c
     return HardyPoly(g, coeffs)

@@ -24,6 +24,7 @@ length is a tuple of edge names.
 
 from __future__ import annotations
 
+import cmath
 from collections import namedtuple
 
 import numpy as np
@@ -33,6 +34,10 @@ Edge = namedtuple("Edge", ["name", "src", "dst"])
 
 class GraphError(ValueError):
     """Malformed graph data (duplicate names, dangling endpoints, ...)."""
+
+
+class ConditioningError(RuntimeError):
+    """Numerics degraded beyond the tolerances on valid input."""
 
 
 class Graph:
@@ -188,9 +193,8 @@ def path_basis(g, k):
 
     k = 0 returns the vertices in vertex order.
     """
-    if k < 0:
-        raise ValueError("path length must be >= 0")
-    return _PathIndex(g, k).levels()[k]
+    index = _PathIndex(g, k)
+    return index.paths(k, np.arange(len(index.range[k])))
 
 
 class _PathIndex:
@@ -209,6 +213,8 @@ class _PathIndex:
     """
 
     def __init__(self, g, N):
+        if N < 0:
+            raise ValueError("truncation order must be >= 0, got %d" % N)
         self.graph = g
         src = np.array([g.vindex[e.src] for e in g.edges], dtype=np.intp)
         dst = np.array([g.vindex[e.dst] for e in g.edges], dtype=np.intp)
@@ -224,10 +230,6 @@ class _PathIndex:
             self.range.append(dst[e])
         self.offset = np.cumsum([0] + [len(r) for r in self.range])
 
-    def levels(self):
-        """The paths of each length 0..N, as path_basis lists them."""
-        return [self.paths(k, np.arange(len(r))) for k, r in enumerate(self.range)]
-
     def paths(self, k, idx):
         """The paths at positions idx of level k, as path_basis names them."""
         if k == 0:
@@ -238,15 +240,6 @@ class _PathIndex:
             columns.append(names[self.head[level][idx]])
             idx = self.tail[level][idx]
         return list(zip(*columns))
-
-
-def center_basis(g):
-    """Edges spanning the center of the bimodule E.
-
-    delta_e is central iff the left and right actions agree on it, which
-    happens exactly when e is a loop.
-    """
-    return list(g.loops())
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +266,17 @@ def _json_object(data, key, what):
 def _complex_from_json(val, ndim=0):
     """Inverse of _complex_to_json.  A number may also be given as [re]
     or as anything complex() accepts; with ndim > 0, val is a nested list
-    of numbers that many levels deep, returned as a complex ndarray."""
+    of numbers that many levels deep, returned as a complex ndarray.  NaN
+    and infinite parts raise GraphError."""
     if ndim:
         return np.array([_complex_from_json(v, ndim - 1) for v in val], dtype=complex)
     if isinstance(val, (list, tuple)):
-        return complex(val[0], val[1] if len(val) > 1 else 0.0)
-    return complex(val)
+        z = complex(val[0], val[1] if len(val) > 1 else 0.0)
+    else:
+        z = complex(val)
+    if not cmath.isfinite(z):
+        raise GraphError("JSON number %r is not finite" % (val,))
+    return z
 
 
 # ---------------------------------------------------------------------------

@@ -19,35 +19,34 @@ its reversed-edge twin coordinatewise,
 
 is unitary for every central gamma in the open ball; at gamma = 0 it
 degenerates to [[0, -id], [id, 0]], matching g_0 = -id.
+
+A CentralPoint is a DualPoint.  Defect operators that are numerically
+singular (gamma next to the boundary) raise ConditioningError.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graph_core import GraphError, _complex_from_json, _complex_to_json, _json_object
-from .dual_eval import DualPoint, _resolvent_stack, _theta_stack, dual_norm
+from .graph_core import (ConditioningError, GraphError, _complex_from_json, _complex_to_json,
+                         _json_object)
+from .dual_eval import BoundaryError, DualPoint, _resolvent_stack, _theta_stack
 from .pick_kernel import StructuralError, _kernel
 
 
-class CentralPoint:
-    """A dual-ball point supported on the loop edges only."""
+class CentralPoint(DualPoint):
+    """A point of the open dual ball supported on the loop edges only."""
 
     def __init__(self, graph, loops):
-        self.graph = graph
+        loops = loops or {}
         loop_set = set(graph.loops())
-        weights = np.zeros(graph.ne, dtype=complex)
-        for name, val in (loops or {}).items():
+        for name in loops:
             if name not in loop_set:
                 raise GraphError("%r is not a loop edge; central points live on loops" % (name,))
-            weights[graph.eindex[name]] = complex(val)
-        self.weights = weights
-        self.norm = dual_norm(graph, weights)
-        if not self.norm < 1.0:  # NaN fails too
-            raise GraphError("central point norm %.6g must be < 1" % self.norm)
-
-    def as_dual_point(self):
-        return DualPoint(self.graph, self.weights)
+        try:
+            super().__init__(graph, loops)
+        except BoundaryError:  # raised after self.norm is set, NaN included
+            raise GraphError("central point norm %.6g must be < 1" % self.norm) from None
 
     def loop_weights(self):
         return {e: self.weights[self.graph.eindex[e]]
@@ -74,13 +73,24 @@ def central_to_dict(c):
 # ---------------------------------------------------------------------------
 # defect operators
 
-def _sqrtm_pd(M, floor=1e-14):
+def _sqrtm_pd(M):
     """(M^{1/2}, M^{-1/2}) of a positive definite M from one eigh."""
     lam, U = np.linalg.eigh(0.5 * (M + M.conj().T))
-    if lam.min(initial=1.0) < floor:
-        raise ValueError("defect operator is singular; the point is not inside the ball")
+    if lam.min(initial=1.0) < 1e-14:
+        raise ConditioningError("defect operator is numerically singular (smallest "
+                                "eigenvalue %.3e); the point is too close to the boundary"
+                                % lam.min())
     root = np.sqrt(lam)
     return (U * root) @ U.conj().T, (U / root) @ U.conj().T
+
+
+def _defects(gamma):
+    """(G, D_gamma, D_gamma*, D_gamma*^{-1}), G the ne x nv matrix of gamma."""
+    g = gamma.graph
+    G = gamma.matrix()
+    d_vertex, _ = _sqrtm_pd(np.eye(g.nv) - G.conj().T @ G)
+    d_edge, inv_d_edge = _sqrtm_pd(np.eye(g.ne) - G @ G.conj().T)
+    return G, d_vertex, d_edge, inv_d_edge
 
 
 def mobius_matrix(gamma, point):
@@ -92,10 +102,8 @@ def mobius_matrix(gamma, point):
     g = gamma.graph
     if point.graph != g:
         raise GraphError("point and center live on different graphs")
-    G = gamma.as_dual_point().matrix()            # ne x nv
+    G, d_vertex, _, inv_d_edge = _defects(gamma)
     eta_adj = point.adjoint()                     # nv x ne
-    d_vertex, _ = _sqrtm_pd(np.eye(g.nv) - G.conj().T @ G)
-    _, inv_d_edge = _sqrtm_pd(np.eye(g.ne) - G @ G.conj().T)
     core = np.linalg.solve(np.eye(g.nv) - eta_adj @ G, G.conj().T - eta_adj)
     M = d_vertex @ core @ inv_d_edge
     _check_edge_support(g, M, "Mobius image")
@@ -134,10 +142,7 @@ def mobius_colligation(gamma):
     """Unitary colligation of g_gamma.  Returns (V, report) where V is the
     (nv + ne) x (ne + nv) assembled matrix and the report carries the
     unitarity residuals."""
-    g = gamma.graph
-    G = gamma.as_dual_point().matrix()
-    d_vertex, _ = _sqrtm_pd(np.eye(g.nv) - G.conj().T @ G)
-    d_edge, inv_d_edge = _sqrtm_pd(np.eye(g.ne) - G @ G.conj().T)
+    G, d_vertex, d_edge, inv_d_edge = _defects(gamma)
     top = np.hstack([d_vertex @ G.conj().T @ inv_d_edge, -d_vertex])
     bottom = np.hstack([d_edge, G])
     V = np.vstack([top, bottom])

@@ -136,11 +136,11 @@ def schur_kernel_matrix(points, values):
     return _kernel(g, _resolvent_stack(g, points, points), minus=minus)
 
 
-def is_completely_positive(m, tol=1e-9, herm_tol=1e-12):
+def is_completely_positive(m, tol=1e-9):
     """CP test by per-vertex Choi blocks.
 
-    Each block must be Hermitian up to herm_tol relative to its largest
-    entry (violation raises StructuralError) and its minimum eigenvalue
+    Each block must be Hermitian up to 1e-12 * (1 + its largest entry)
+    (violation raises StructuralError) and its minimum eigenvalue
     must be >= -tol * (1 + spectral norm of the block).  Returns a report
     with one entry per vertex and the overall verdict.
     """
@@ -149,12 +149,13 @@ def is_completely_positive(m, tol=1e-9, herm_tol=1e-12):
     worst = np.inf
     for u, v in enumerate(m.graph.vertices):
         ch = m.choi_block(u)
+        ch_adj = ch.conj().T
         scale = float(np.abs(ch).max(initial=0.0))
-        herm_dev = float(np.abs(ch - ch.conj().T).max(initial=0.0))
-        if herm_dev > herm_tol * (1.0 + scale):
+        herm_dev = float(np.abs(ch - ch_adj).max(initial=0.0))
+        if herm_dev > 1e-12 * (1.0 + scale):
             raise StructuralError(
                 "Choi block of vertex %r deviates from Hermitian by %.3e" % (v, herm_dev))
-        eigs = np.linalg.eigvalsh(0.5 * (ch + ch.conj().T))
+        eigs = np.linalg.eigvalsh(0.5 * (ch + ch_adj))
         min_eig = float(eigs.min()) if eigs.size else 0.0
         spec = float(np.abs(eigs).max(initial=0.0))
         ok = min_eig >= -tol * (1.0 + spec)

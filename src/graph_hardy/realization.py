@@ -40,6 +40,7 @@ import numpy as np
 import scipy.linalg
 
 from .graph_core import (
+    ConditioningError,
     Graph,
     GraphError,
     _PathIndex,
@@ -53,10 +54,6 @@ from .pick_kernel import schur_kernel_matrix, is_completely_positive
 
 class FeasibilityError(ValueError):
     """Sampled data is not in the Schur class; no contractive realization."""
-
-
-class ConditioningError(RuntimeError):
-    """Numerics of the Gram construction degraded beyond the tolerances."""
 
 
 def _block_dims(g, q1, q2, m, v):
@@ -130,12 +127,16 @@ class SystemMatrix:
         n1 = len(self.q1)
         self._in = {v: i for i, v in enumerate(self.q1)}
         self._out = {v: i for i, v in enumerate(self.q2)}
-        self._hcols = {v: slice(n1 + sl.start, n1 + sl.stop) for v, sl in self.h_offsets().items()}
+        self._hoff, pos = {}, 0
+        for v in g.vertices:
+            self._hoff[v] = slice(pos, pos + self.m[v])
+            pos += self.m[v]
+        self._hcols = {v: slice(n1 + sl.start, n1 + sl.stop) for v, sl in self._hoff.items()}
         self._fiber, row = {}, len(self.q2)
         for e in g.edges:
             self._fiber[e.name] = slice(row, row + self.m[e.dst])
             row += self.m[e.dst]
-        self._V = V = np.zeros((row, n1 + self.h_dim()), dtype=complex)
+        self._V = V = np.zeros((row, n1 + pos), dtype=complex)
 
         for v, a in (A or {}).items():
             if v not in self._in or v not in self._out:
@@ -178,13 +179,6 @@ class SystemMatrix:
     # index bookkeeping ----------------------------------------------------
     def h_dim(self):
         return sum(self.m.values())
-
-    def h_offsets(self):
-        off, pos = {}, 0
-        for v in self.graph.vertices:
-            off[v] = slice(pos, pos + self.m[v])
-            pos += self.m[v]
-        return off
 
     def _block_index(self, v):
         """np.ix_ index of the vertex block at v in V, rows and columns in
@@ -256,11 +250,10 @@ def _insertion_blocks(s, point):
     L* adds conj(w_e) times the fiber rows of e, which hold C^{(e)} and
     D^{(e)}, into the rows of H_{r(e)}.
     """
-    hoff = s.h_offsets()
     LV = np.zeros((s.h_dim(), s._V.shape[1]), dtype=complex)
     cw = np.conj(point.weights)
     for i, e in enumerate(s.graph.edges):
-        LV[hoff[e.dst]] += cw[i] * s._V[s._fiber[e.name]]
+        LV[s._hoff[e.dst]] += cw[i] * s._V[s._fiber[e.name]]
     n1 = len(s.q1)
     return LV[:, n1:], LV[:, :n1]
 
@@ -271,10 +264,9 @@ def _embed_output(s, X):
     over H_v alone does not pick up rounding from the other fibers' order."""
     g = s.graph
     n1 = len(s.q1)
-    hoff = s.h_offsets()
     out = s._V[:len(s.q2), :n1].copy()
     for i, v in enumerate(s.q2):
-        out[i] += (s._V[i:i + 1, s._hcols[v]] @ X[hoff[v]])[0]
+        out[i] += (s._V[i:i + 1, s._hcols[v]] @ X[s._hoff[v]])[0]
     Z = np.zeros((g.nv, g.nv), dtype=complex)
     Z[np.ix_([g.vindex[v] for v in s.q2], [g.vindex[v] for v in s.q1])] = out
     return Z
@@ -283,8 +275,6 @@ def _embed_output(s, X):
 def transfer_eval(s, point):
     """Z(eta*) = A + B (id - L* D)^{-1} L* C as an nv x nv matrix."""
     LD, LC = _insertion_blocks(s, point)
-    if LD.shape[0] == 0:
-        return _embed_output(s, LC)
     X = np.linalg.solve(np.eye(LD.shape[0]) - LD, LC)
     return _embed_output(s, X)
 
@@ -294,10 +284,12 @@ def transfer_partial_sum(s, point, N):
 
     Algebraically identical to evaluating the degree-N Taylor polynomial,
     but computed as A + B (sum_{n<N} (L*D)^n) L*C so no path enumeration
-    is needed.
+    is needed.  N < 0 raises ValueError.
     """
+    if N < 0:
+        raise ValueError("partial-sum degree N must be >= 0, got %d" % N)
     LD, LC = _insertion_blocks(s, point)
-    if LD.shape[0] == 0 or N == 0:
+    if N == 0:
         acc = np.zeros_like(LC)
     else:
         term = LC.copy()
@@ -381,7 +373,7 @@ def feasible_multiplicities(g, q1, q2, m):
     m, q1, q2 = dict(m), set(q1), set(q2)
     if any(mv < 0 for mv in m.values()):
         raise GraphError("multiplicities must be nonnegative")
-    for _ in range(sum(m.values()) + len(q2) + 1):
+    while True:
         for v in g.vertices:
             dom, cod = _block_dims(g, q1, q2, m, v)
             if dom < cod:
@@ -394,7 +386,6 @@ def feasible_multiplicities(g, q1, q2, m):
             m[t] -= 1
         else:
             q2.discard(v)  # no fiber left to shrink, so codomain_v = [v in q2]
-    raise RuntimeError("feasibility repair did not terminate")
 
 
 def random_system(g, rng, mmax=3, q1=None, q2=None):
@@ -458,7 +449,7 @@ def _pad_multiplicities(g, q1, q2, m):
             return {v: 0 for v in g.vertices}, False
 
 
-def _complete_block(blk, rank_tol=1e-8):
+def _complete_block(blk):
     """Extend a partial isometry (cod x dom) to a coisometry when dom allows.
 
     Pairs an orthonormal basis of the cokernel with unused domain
@@ -468,7 +459,7 @@ def _complete_block(blk, rank_tol=1e-8):
     if cod == 0 or dom == 0:
         return blk
     W, sig, Th = np.linalg.svd(blk, full_matrices=False)
-    r = int(np.sum(sig > rank_tol * max(1.0, sig[0] if sig.size else 1.0)))
+    r = int(np.sum(sig > 1e-8 * max(1.0, sig[0])))
     Wr = W[:, :r]
     Tr = Th[:r, :].conj().T
     w_extra = scipy.linalg.null_space(Wr.conj().T) if r < cod else np.zeros((cod, 0))
@@ -563,8 +554,7 @@ def realize_from_samples(points, values, q1, q2, tol=1e-9, rank_tol=1e-9):
         # partial isometry on the span of the u columns
         if Umat.shape[1] and dom and np.abs(Umat).max(initial=0.0) > 0:
             W, sig, Th = np.linalg.svd(Umat, full_matrices=False)
-            smax = sig[0] if sig.size else 0.0
-            r = int(np.sum(sig > 1e-12 * max(1.0, smax)))
+            r = int(np.sum(sig > 1e-12 * max(1.0, sig[0])))
             coeff = Th[:r, :].conj().T / sig[:r]
             v0 = (Ymat @ coeff) @ W[:, :r].conj().T
         else:
@@ -572,7 +562,7 @@ def realize_from_samples(points, values, q1, q2, tol=1e-9, rank_tol=1e-9):
         blocks[v] = _complete_block(v0)
 
     system = _system_from_vertex_blocks(g, mp, q1t, q2t, blocks)
-    co_res = _coisometry_gap(system.assemble())
+    co_res = _coisometry_gap(system._V)
     interp = 0.0
     for i in range(k):
         interp = max(interp, float(np.abs(transfer_eval(system, points[i]) - Z[i]).max(initial=0.0)))

@@ -169,7 +169,7 @@ def test_6_mobius_identities(capsys):
         w_coll = max(w_coll, coll["coisometry_residual"], coll["isometry_residual"])
         img0 = mobius_apply(gamma, zero_point(g))
         w_fix = max(w_fix, np.abs(img0.weights - gamma.weights).max(initial=0.0))
-        back = mobius_apply(gamma, gamma.as_dual_point())
+        back = mobius_apply(gamma, gamma)
         w_fix = max(w_fix, np.abs(back.weights).max(initial=0.0))
         for _ in range(2):
             p = random_point(g, rng, max_norm=0.8)

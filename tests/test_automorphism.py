@@ -274,3 +274,17 @@ def test_unitary_json_roundtrip():
     np.testing.assert_allclose(u2.full_matrix(), u.full_matrix(), atol=1e-15)
     with pytest.raises(GraphError):
         unitary_from_dict(u.graph, {})
+
+
+def test_alpha_lambda_rejects_negative_truncation_order():
+    with pytest.raises(ValueError, match=">= 0"):
+        two_vertex_alpha_lambda(0.5, -2)
+
+
+def test_bimodule_unitary_gate():
+    # |(1 + eps)^2 - 1| = 2 eps: the gate accepts 5e-13 and rejects 2e-12
+    g = two_vertex_example()
+    u = diagonal_unitary(g, {"g": 1.0 + 2.5e-13})
+    assert u.full_matrix()[2, 2] == 1.0 + 2.5e-13
+    with pytest.raises(GraphError, match="not unitary"):
+        diagonal_unitary(g, {"g": 1.0 + 1e-12})

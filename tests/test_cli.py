@@ -329,6 +329,56 @@ def test_autom_demo(capsys):
     assert rep["kernel_ideal"]["passed"]
 
 
+@pytest.mark.parametrize("name, N", [("transfer", "-1"), ("autom-demo", "-2")])
+def test_negative_truncation_order_is_input_error(capsys, tmp_path, graph_file, loop_file,
+                                                  name, N):
+    argv = passing_argvs(tmp_path, graph_file, loop_file)[name] + ["--N", N]
+    code, rep, err = run_cli(capsys, argv)
+    assert code == 2 and rep is None
+    assert err.startswith("input error: ") and ">= 0" in err
+
+
+@pytest.mark.parametrize("name, field, literal", [
+    ("eval", "poly re", "NaN"),
+    ("eval", "poly im", "Infinity"),
+    ("schur-check", "values", "NaN"),
+    ("transfer", "system D", "-Infinity"),
+])
+def test_non_finite_json_number_is_input_error(capsys, tmp_path, graph_file, loop_file,
+                                               name, field, literal):
+    # json accepts NaN and Infinity, which no input of graph-hardy may hold
+    argv = passing_argvs(tmp_path, graph_file, loop_file)[name]
+    if name == "eval":
+        re, im = (literal, "0.0") if field == "poly re" else ("3.0", literal)
+        (tmp_path / "poly.json").write_text('[{"path": ["e"], "re": %s, "im": %s}]' % (re, im))
+    elif name == "schur-check":
+        samples = tmp_path / "samples.json"
+        samples.write_text(samples.read_text().replace("[0.5, 0.0]", "[%s, 0.0]" % literal))
+    else:
+        system = tmp_path / "sys.json"
+        system.write_text(system.read_text().replace("[-0.6, 0.0]", "[%s, 0.0]" % literal))
+    code, rep, err = run_cli(capsys, argv)
+    assert code == 2 and rep is None
+    assert err.startswith("input error: ") and "is not finite" in err
+
+
+@pytest.mark.parametrize("name", ["mobius", "eval"])
+def test_central_point_near_boundary(capsys, tmp_path, graph_file, loop_file, name):
+    # 1 - 1.1e-16 is inside the open ball, but its defect operator is
+    # numerically singular: a conditioning failure (exit 3), not bad input
+    argv = passing_argvs(tmp_path, graph_file, loop_file)[name]
+    gamma = tmp_path / "gamma.json"
+    argv = argv[:argv.index("--point")] if name == "mobius" else argv + ["--gamma", str(gamma)]
+    gamma.write_text('{"loops": {"g": [0.9999999999999999, 0.0]}}')
+    code, rep, err = run_cli(capsys, argv)
+    assert (code, err) == (3, "")
+    assert rep["kind"] == "conditioning" and rep["passed"] is False
+    assert "smallest eigenvalue" in rep["error"]
+    gamma.write_text('{"loops": {"g": [0.99999999999999, 0.0]}}')
+    code, rep, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "") and rep["passed"]
+
+
 # the top-level keys of each subcommand's report on a passing fixture
 FRAME_KEYS = {
     "validate-graph": {"command", "inputs", "vertices", "edges", "loops", "is_full",

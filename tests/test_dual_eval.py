@@ -178,3 +178,18 @@ def test_point_json_roundtrip(g2):
     np.testing.assert_allclose(point_from_dict(g2, json.loads(text)).weights, p.weights)
     with pytest.raises(GraphError):
         point_from_dict(g2, {"nope": {}})
+
+
+class ZeroRng:
+    """Draws only zeros, so the random direction has norm 0."""
+
+    def standard_normal(self, n):
+        return np.zeros(n)
+
+    def random(self):
+        return 0.5
+
+
+def test_random_point_zero_direction_is_origin(g2):
+    p = random_point(g2, ZeroRng())
+    assert p.norm == 0.0 and not p.weights.any()

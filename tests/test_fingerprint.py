@@ -40,3 +40,9 @@ def test_encoding_tells_values_apart(fingerprint):
     assert digest(fingerprint, {"b": 1, "a": 2}) == digest(fingerprint, {"a": 2, "b": 1})
     with pytest.raises(TypeError):
         digest(fingerprint, object())
+
+
+def test_demos_digest_runs_a_demo(fingerprint):
+    demo = str(FINGERPRINT_PY.parent.parent / "demos" / "01_fock_relations.py")
+    hexdigest = fingerprint.demos_digest([demo])
+    assert len(hexdigest) == 64 and hexdigest != fingerprint.demos_digest([])

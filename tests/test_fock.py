@@ -23,7 +23,6 @@ from graph_hardy import (
     two_vertex_example,
 )
 from graph_hardy import fock
-from graph_hardy.fock import fock_index
 from graph_hardy.graph_core import compose
 from conftest import random_graph
 
@@ -31,6 +30,12 @@ from conftest import random_graph
 def complete_two_vertex():
     return Graph(["a", "b"], [("aa", "a", "a"), ("ab", "a", "b"),
                               ("ba", "b", "a"), ("bb", "b", "b")])
+
+
+def fock_index(g, N):
+    """fock_basis(g, N) and each path's position in it."""
+    basis = fock_basis(g, N)
+    return basis, {p: i for i, p in enumerate(basis)}
 
 
 def creation_matrix_oracle(x, N):
@@ -65,7 +70,8 @@ def test_poly_constructors(g2):
     assert HardyPoly.zero(g2).coeffs == {}
     assert HardyPoly.vertex(g2, "w").coeffs == {"w": 1.0}
     assert HardyPoly.shift(g2, "e", "f").coeffs == {("e", "f"): 1.0}
-    assert HardyPoly.shift(g2, ("f", "g")).coeffs == {("f", "g"): 1.0}
+    with pytest.raises(GraphError):
+        HardyPoly.shift(g2, ("f", "g"))  # edges are passed one by one, not as a tuple
     assert HardyPoly(g2, {"v": 0.0}).coeffs == {}  # zeros dropped
     with pytest.raises(GraphError):
         HardyPoly(g2, {("e", "e"): 1.0})
@@ -346,3 +352,20 @@ def test_poly_graph_mismatch(g2):
     other = Graph(["u"], [("z", "u", "u")])
     with pytest.raises(GraphError):
         HardyPoly.shift(g2, "e") * HardyPoly.vertex(other, "u")
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: creation_matrix(x, -1),
+    lambda x: fock_norm_bound(x, -1),
+    lambda x: certify_contraction(x, -1),
+    lambda x: fock_basis(x.graph, -1),
+], ids=["creation_matrix", "fock_norm_bound", "certify_contraction", "fock_basis"])
+def test_negative_truncation_order_is_rejected(g2, call):
+    with pytest.raises(ValueError, match=">= 0"):
+        call(HardyPoly.shift(g2, "e"))
+
+
+@pytest.mark.parametrize("term", [{"re": float("nan")}, {"im": float("inf")}])
+def test_poly_from_terms_rejects_non_finite(g2, term):
+    with pytest.raises(GraphError, match="is not finite"):
+        poly_from_terms(g2, [dict({"path": ["e"], "re": 1.0}, **term)])

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import graph_hardy
 from graph_hardy import (
     Graph,
     GraphError,
     act,
     build_graph,
-    center_basis,
     compose,
     fullness_flags,
     graph_to_dict,
@@ -23,6 +23,8 @@ from graph_hardy import (
     path_source,
     two_vertex_example,
 )
+from graph_hardy import realization
+from graph_hardy.graph_core import _complex_from_json, as_edge_function, as_vertex_function
 from conftest import adjacency, random_graph
 
 
@@ -41,7 +43,6 @@ def test_two_vertex_structure(g2):
     assert g2.in_edges("v") == ("f",)
     assert g2.in_edges("w") == ("e", "g")
     assert g2.loops() == ("g",)
-    assert center_basis(g2) == ["g"]
     assert fullness_flags(g2) == (True, True)
 
 
@@ -188,5 +189,28 @@ def test_center_is_loops():
     rng = np.random.default_rng(5)
     for _ in range(8):
         g = random_graph(rng, ensure_loop=True)
-        assert center_basis(g) == list(g.loops())
-        assert all(g.src[e] == g.dst[e] for e in center_basis(g))
+        assert g.loops() == tuple(e.name for e in g.edges if e.src == e.dst)
+        assert all(g.src[e] == g.dst[e] for e in g.loops())
+
+
+@pytest.mark.parametrize("val, ndim", [
+    (float("nan"), 0), (float("inf"), 0), ([0.5, float("-inf")], 0), ("nan", 0),
+    ([[0.1, [float("nan"), 0.0]]], 2),
+])
+def test_complex_from_json_rejects_non_finite(val, ndim):
+    with pytest.raises(GraphError, match="is not finite"):
+        _complex_from_json(val, ndim)
+
+
+def test_vertex_and_edge_function_guards(g2):
+    with pytest.raises(ValueError, match="length 2"):
+        as_vertex_function(g2, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="length 3"):
+        as_edge_function(g2, [1.0, 2.0])
+    with pytest.raises(GraphError, match="unknown edge 'x'"):
+        as_edge_function(g2, {"e": 1.0, "x": 2.0})
+
+
+def test_conditioning_error_is_one_class():
+    assert graph_hardy.ConditioningError is realization.ConditioningError
+    assert issubclass(graph_hardy.ConditioningError, RuntimeError)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from graph_hardy import (
     CentralPoint,
+    ConditioningError,
+    DualPoint,
     Graph,
     GraphError,
     central_from_dict,
@@ -25,6 +27,8 @@ from graph_hardy import (
     two_vertex_example,
     zero_point,
 )
+from graph_hardy.mobius import _check_edge_support
+from graph_hardy.pick_kernel import StructuralError
 from conftest import random_graph
 
 
@@ -43,7 +47,7 @@ def test_central_point_guards():
     c = make_central_point(g, {"g": 0.3 + 0.4j})
     assert abs(c.norm - 0.5) < 1e-15
     assert c.loop_weights() == {"g": 0.3 + 0.4j}
-    assert c.as_dual_point().norm == c.norm
+    assert isinstance(c, DualPoint) and c.norm == dual_norm(g, c.weights)
 
 
 def test_classical_disc_mobius_oracle():
@@ -71,7 +75,7 @@ def test_fixed_points_two_vertex():
     gamma = make_central_point(g, {"g": 0.3 + 0.45j})
     img0 = mobius_apply(gamma, zero_point(g))
     np.testing.assert_allclose(img0.weights, gamma.weights, atol=1e-13)
-    back = mobius_apply(gamma, gamma.as_dual_point())
+    back = mobius_apply(gamma, gamma)
     np.testing.assert_allclose(back.weights, 0.0, atol=1e-13)
 
 
@@ -152,3 +156,24 @@ def test_central_json_roundtrip():
                                c.weights)
     with pytest.raises(GraphError):
         central_from_dict(g, {"weights": {}})
+
+
+def test_edge_support_leak_is_structural_error():
+    g = two_vertex_example()
+    M = np.zeros((g.nv, g.ne), dtype=complex)
+    M[g.vindex["w"], g.eindex["e"]] = 0.5  # on the support (r(e), e)
+    _check_edge_support(g, M, "test matrix")
+    M[g.vindex["v"], g.eindex["e"]] = 1e-9
+    with pytest.raises(StructuralError, match="test matrix leaks"):
+        _check_edge_support(g, M, "test matrix")
+
+
+def test_defect_operator_near_boundary_is_conditioning_error():
+    g = two_vertex_example()
+    near = make_central_point(g, {"g": 0.9999999999999999})
+    assert near.norm < 1.0
+    for call in (mobius_colligation, lambda c: mobius_matrix(c, zero_point(g))):
+        with pytest.raises(ConditioningError, match="smallest eigenvalue"):
+            call(near)
+    _, rep = mobius_colligation(make_central_point(g, {"g": 0.99999999999999}))
+    assert rep["coisometry_residual"] < 1e-9

@@ -225,3 +225,17 @@ def test_targets_coerce_scalar_vector_matrix():
     m1 = pick_map_matrix(pts, [1.0], [np.array([0.1, 0.2])])
     m2 = pick_map_matrix(pts, [np.eye(2)], [np.diag([0.1, 0.2])])
     np.testing.assert_allclose(m1.choi, m2.choi, atol=1e-15)
+
+
+@pytest.mark.parametrize("scale", [1.0, 100.0])
+def test_hermitian_gate_is_relative_to_block_scale(scale):
+    # the gate fires above 1e-12 * (1 + largest entry), and not below it
+    g = loop_graph()
+    limit = 1e-12 * (1.0 + scale)
+    for dev, raises in ((0.9 * limit, False), (1.1 * limit, True)):
+        m = CpMapMatrix(g, np.array([[[scale, dev], [0.0, scale]]], dtype=complex))
+        if raises:
+            with pytest.raises(StructuralError):
+                is_completely_positive(m)
+        else:
+            assert is_completely_positive(m)["cp"]

@@ -407,3 +407,15 @@ def test_system_json_roundtrip():
         system_from_dict(g, dict(d, D={"g": [[[0.0, 0.0]] * 5] * 2}))
     with pytest.raises(GraphError, match="needs multiplicities, q1, q2"):
         system_from_dict(g, dict(d, q1=5))
+
+
+@pytest.mark.parametrize("call", [
+    lambda s, p: taylor_extract(s, -1),
+    lambda s, p: transfer_partial_sum(s, p, -1),
+    lambda s, p: series_residual(s, p, -1),
+], ids=["taylor_extract", "transfer_partial_sum", "series_residual"])
+def test_negative_truncation_order_is_rejected(call):
+    g = two_vertex_example()
+    s = random_system(g, np.random.default_rng(3))
+    with pytest.raises(ValueError, match=">= 0"):
+        call(s, make_dual_point(g, {"g": 0.3}))

@@ -14,14 +14,21 @@ order.  Arrays enter the digest by dtype, shape and bytes, floats by
 float.hex, dicts with their keys sorted, and a refusal by its exception
 type and message, so equal digests on two commits mean bitwise-equal
 outputs, CLI reports, stderr and exit codes included.
+
+A last line, printed once whatever the seeds, digests the exit code and
+stdout of every demo in demos/, each run in a fresh interpreter with
+this checkout's src/ first on PYTHONPATH, as tests/test_demos.py runs
+them.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import glob
 import importlib.util
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -104,6 +111,19 @@ def fingerprint(workloads, name, seed):
     return len(work.ops), refused, h.hexdigest()
 
 
+def demos_digest(paths):
+    """sha256 hex over (file name, exit code, stdout) of each demo script."""
+    h = hashlib.sha256()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
+                                                      env.get("PYTHONPATH")]))
+    for path in paths:
+        proc = subprocess.run([sys.executable, path], env=env, capture_output=True,
+                              text=True, timeout=300)
+        _feed(h, (os.path.basename(path), proc.returncode, proc.stdout))
+    return h.hexdigest()
+
+
 def _seed_range(text):
     lo, _, hi = text.partition("-")
     return range(int(lo), int(hi or lo) + 1)
@@ -120,6 +140,8 @@ def main(argv=None):
             n, refused, digest = fingerprint(workloads, name, seed)
             print("seed %d %-16s ops %3d refused %3d sha256 %s"
                   % (seed, name, n, refused, digest), flush=True)
+    demos = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
+    print("demos sha256 %s" % demos_digest(demos), flush=True)
 
 
 if __name__ == "__main__":
