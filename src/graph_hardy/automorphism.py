@@ -184,7 +184,7 @@ def two_vertex_alpha_lambda(lam, N, graph=None):
     """
     g = _check_two_vertex(graph)
     lam = complex(lam)
-    if abs(lam) >= 1.0:
+    if not abs(lam) < 1.0:  # NaN fails too
         raise ValueError("|lambda| must be < 1")
     if N < 0:
         raise ValueError("truncation order N must be >= 0, got %d" % N)
@@ -210,6 +210,8 @@ def tau_lambda_matrix(lam, point):
     """
     g = _check_two_vertex(point.graph)
     lam = complex(lam)
+    if not abs(lam) < 1.0:
+        raise ValueError("|lambda| must be < 1")
     a, b, c = (point.weight("e"), point.weight("f"), point.weight("g"))
     den = 1.0 - lam * np.conj(c)
     M = np.zeros((2, 3), dtype=complex)

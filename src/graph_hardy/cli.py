@@ -14,16 +14,17 @@ subcommands that take --graph (all but autom-demo), then "tol" for
 those that take --tol (all but validate-graph and eval).
 
 Exit codes: 0 when "passed" is true; 1 when it is false, or when
-realize finds the data infeasible; 2 on malformed input, a negative
---N or a NaN or infinite JSON number included, with "input error: ..."
-on stderr and no report; 3 when the numerics
-break down on valid input (ConditioningError, from realize, or from
-mobius and eval --gamma at a central point next to the boundary).
-These two failures print a report of only "command", "passed", "error"
-and "kind" ("infeasible" or "conditioning").  Reports embed the worst
-residual observed and are byte-identical across runs for the same
-inputs; autom-demo draws its points from --seed, the only option that
-takes a seed.
+realize finds the data infeasible; 2 on malformed input, a negative --N
+or a NaN or infinite JSON number included, with "input error: ..." on
+stderr and no report (argparse exits 2 too on a bad option, a --tol that
+is negative or not finite included); 3 when the numerics break down on
+valid input (ConditioningError, from realize, or from mobius and eval
+--gamma at a central point next to the boundary).  These two failures
+print a report of only "command", "passed", "error" and "kind"
+("infeasible" or "conditioning").  Reports embed the worst residual
+observed and are byte-identical across runs for the same inputs;
+autom-demo draws its points from --seed, the only option that takes a
+seed.
 """
 
 from __future__ import annotations
@@ -257,6 +258,14 @@ def cmd_autom_demo(args, g, read):
 
 # ---------------------------------------------------------------------------
 
+def _tolerance(text):
+    """The --tol type: a finite float >= 0."""
+    tol = float(text)
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise argparse.ArgumentTypeError("must be finite and >= 0, got %r" % text)
+    return tol
+
+
 @functools.cache
 def build_parser():
     ap = argparse.ArgumentParser(
@@ -269,7 +278,7 @@ def build_parser():
         if graph:
             p.add_argument("--graph", required=True, help="graph JSON file")
         if tol is not None:
-            p.add_argument("--tol", type=float, default=tol)
+            p.add_argument("--tol", type=_tolerance, default=tol)
         p.add_argument("--out", help=out)
         for option, settings in options.items():
             p.add_argument("--" + option, **settings)

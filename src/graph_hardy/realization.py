@@ -13,7 +13,7 @@ and its columns are the q1 slots, then H in vertex order.  A, B, C, D and
 the vertex blocks are read off it as slices.  Everything is block
 diagonal over the vertices, so V is a coisometry (V V* = id) iff each
 vertex block is; _block_dims states the size of a vertex block and
-_fiber_rows its row and column layout.
+SystemMatrix._block_index its rows and columns in V.
 
 The transfer function of a system, evaluated at a dual point eta with
 insertion operator L_eta, is
@@ -63,21 +63,6 @@ def _block_dims(g, q1, q2, m, v):
         codomain_v = [v in q2] + sum over edges e with s(e) = v of m_{r(e)}
     """
     return (v in q1) + m[v], (v in q2) + sum(m[g.dst[e]] for e in g.out_edges(v))
-
-
-def _fiber_rows(g, q2, m, v):
-    """Row layout of the vertex block at v: [(e, rows)] for its out-edges.
-
-    A vertex block has the E2 slot as row 0 when v is in q2, then one fiber
-    of m_{r(e)} rows per edge e with s(e) = v, in edge order; its columns
-    are the E1 slot as column 0 when v is in q1, then H_v.
-    """
-    row, out = int(v in q2), []
-    for e in g.out_edges(v):
-        mr = m[g.dst[e]]
-        out.append((e, slice(row, row + mr)))
-        row += mr
-    return out
 
 
 def _vertex_subset(g, q):
@@ -181,19 +166,20 @@ class SystemMatrix:
         return sum(self.m.values())
 
     def _block_index(self, v):
-        """np.ix_ index of the vertex block at v in V, rows and columns in
-        the order of _fiber_rows."""
+        """(rows, cols) of V that hold the vertex block at v.  Rows: the E2
+        slot of v if v is in q2, then the fiber of each edge e with s(e) = v
+        in edge order.  Columns: the E1 slot of v if v is in q1, then H_v."""
         rows = [self._out[v]] if v in self._out else []
-        for e, _ in _fiber_rows(self.graph, self.q2, self.m, v):
+        for e in self.graph.out_edges(v):
             rows.extend(range(self._fiber[e].start, self._fiber[e].stop))
         cols = [self._in[v]] if v in self._in else []
         cols.extend(range(self._hcols[v].start, self._hcols[v].stop))
-        return np.ix_(rows, cols)
+        return rows, cols
 
     def vertex_block(self, v):
         """The (codomain_v x domain_v) block of V at vertex v, laid out as
-        in _fiber_rows (a copy)."""
-        return self._V[self._block_index(v)]
+        in _block_index (a copy)."""
+        return self._V[np.ix_(*self._block_index(v))]
 
     def assemble(self):
         """Global matrix V (a copy): rows are q2 slots then edge fibers in
@@ -415,8 +401,8 @@ def _system_from_vertex_blocks(g, m, q1, q2, blocks):
     matrices, each written straight into its rows and columns of V."""
     s = SystemMatrix(g, m, q1, q2)
     for v in g.vertices:
-        dom, cod = _block_dims(g, s.q1, s.q2, s.m, v)
-        s._V[s._block_index(v)] = _as_block(blocks[v], (cod, dom))
+        rows, cols = s._block_index(v)
+        s._V[np.ix_(rows, cols)] = _as_block(blocks[v], (len(rows), len(cols)))
     return s
 
 
@@ -427,18 +413,23 @@ _PAD_MAX_TOTAL = 4000
 
 
 def _pad_multiplicities(g, q1, q2, m):
-    """Smallest padding p >= 0 with domain >= codomain once m + p is used.
-    Returns (p, feasible).  Every sweep that changes p raises its total; if
-    the out-degree structure amplifies multiplicities (branching loops) the
-    total diverges, and once it passes _PAD_MAX_TOTAL we report
-    infeasibility instead."""
-    q1s, q2s = set(q1), set(q2)
+    """Least padding p >= 0 with domain >= codomain at every vertex once
+    m + p is used.  Returns (p, feasible).
+
+    At v the condition is p_v >= c_v + sum of p_{r(e)} over s(e) = v, with
+    c_v fixed by m, q1, q2.  A sweep raises each p_v in vertex order to the
+    least value meeting it, which from p = 0 keeps p below every solution.
+    The vertices the least solution pads span no cycle (lowering p by one
+    along it would keep every condition), so a sweep settles each vertex
+    after those it reaches through padded vertices: all by sweep nv, and a
+    change in sweep nv + 1 proves that no padding exists.  A total above
+    _PAD_MAX_TOTAL is reported infeasible too; it caps the state size."""
     p = {v: 0 for v in g.vertices}
     mp = dict(m)  # m + p, kept in step with p
-    while True:
+    for _ in range(g.nv + 1):
         changed = False
         for v in g.vertices:
-            dom, cod = _block_dims(g, q1s, q2s, mp, v)
+            dom, cod = _block_dims(g, q1, q2, mp, v)
             if dom < cod:
                 p[v] += cod - dom
                 mp[v] += cod - dom
@@ -446,7 +437,8 @@ def _pad_multiplicities(g, q1, q2, m):
         if not changed:
             return p, True
         if sum(p.values()) > _PAD_MAX_TOTAL:
-            return {v: 0 for v in g.vertices}, False
+            break
+    return {v: 0 for v in g.vertices}, False
 
 
 def _complete_block(blk):
@@ -475,13 +467,13 @@ def realize_from_samples(points, values, q1, q2, tol=1e-9, rank_tol=1e-9):
     supported on q2 x q1.  Steps: (1) Schur-kernel CP check (raises
     FeasibilityError if it fails); (2) per-vertex Gram spaces from the
     Choi blocks, rank-truncated at rank_tol * (largest eigenvalue);
-    (3) the lurking isometry u_(v,i,w) -> y_(v,i,w) that the kernel
-    identity makes inner-product preserving; (4) per-vertex padding of
-    the multiplicities so a coisometric completion can exist, then the
-    completion; (5) read off A, B, C, D.  Returns (system, report); the
-    report carries multiplicities, padding, residuals, and the Gram
-    ranks.  The transfer of the result reproduces the samples; away from
-    the samples it is one specific Schur-class interpolant.
+    (3) per-vertex padding of the multiplicities so a coisometric
+    completion can exist; (4) the lurking isometry u -> y that the kernel
+    identity makes inner-product preserving, in the rows and columns of V;
+    (5) per vertex block its completion, written into V.  Returns (system,
+    report); the report carries multiplicities, padding, residuals, and the
+    Gram ranks.  The transfer of the result reproduces the samples; away
+    from the samples it is one specific Schur-class interpolant.
     """
     k = len(points)
     if k == 0 or len(values) != k:
@@ -510,42 +502,39 @@ def realize_from_samples(points, values, q1, q2, tol=1e-9, rank_tol=1e-9):
 
     # Gram spaces: one per vertex, spanned by symbols (point i, vertex w)
     phi = {}
-    m = {}
     for u, v in enumerate(g.vertices):
         ch = kern.choi_block(u)
-        lam, U = np.linalg.eigh(0.5 * (ch + ch.conj().T))
-        lmax = float(lam.max(initial=0.0))
-        keep = lam > rank_tol * max(lmax, 0.0) if lmax > 0 else lam > np.inf
-        lam_r = np.clip(lam[keep], 0.0, None)
-        phi[v] = (np.sqrt(lam_r)[:, None] * U[:, keep].conj().T)  # (r, k*nv)
-        m[v] = int(np.sum(keep))
+        lam, Q = np.linalg.eigh(0.5 * (ch + ch.conj().T))
+        keep = lam > rank_tol * float(lam.max(initial=0.0))
+        phi[v] = np.sqrt(np.clip(lam[keep], 0.0, None))[:, None] * Q[:, keep].conj().T
+    m = {v: phi[v].shape[0] for v in g.vertices}  # phi[v] is (m_v, k * nv)
 
     pad, pad_ok = _pad_multiplicities(g, q1t, q2t, m)
-    mp = {v: m[v] + pad[v] for v in g.vertices}
+    system = SystemMatrix(g, {v: m[v] + pad[v] for v in g.vertices}, q1t, q2t)
+    V = system._V
 
-    # cols[v][i, j]: the Gram vector of the symbol (i, q2[j]) in H_v, zero-padded to mp[v]
-    cols = {}
+    # The lurking isometry maps U[i, j] to Y[i, j], the symbol (point i, vertex
+    # q2[j]), in the columns and rows of V: U holds the E1 slots and the Gram
+    # vectors, zero-padded in each H_v; Y holds the E2 slots and, in the fiber
+    # of e, w_e times the H_{r(e)} columns of U.
+    U = np.zeros((k, len(w2), V.shape[1]), dtype=complex)
+    Y = np.zeros((k, len(w2), V.shape[0]), dtype=complex)
+    for v, i in system._in.items():
+        U[:, :, i] = np.conj(Z[:, w2, g.vindex[v]])
     for v in g.vertices:
-        cols[v] = np.zeros((k, len(w2), mp[v]), dtype=complex)
-        cols[v][:, :, :m[v]] = phi[v].reshape(m[v], k, nv)[:, :, w2].transpose(1, 2, 0)
-    weights = np.array([p.weights for p in points])
-    blocks = {}
+        h = system._hcols[v].start
+        U[:, :, h:h + m[v]] = phi[v].reshape(m[v], k, nv)[:, :, w2].transpose(1, 2, 0)
+    Y[:, np.arange(len(w2)), np.arange(len(w2))] = 1.0  # the E2 slot of q2[j] is row j
+    for e, w in zip(g.edges, np.array([p.weights for p in points]).T):
+        Y[:, :, system._fiber[e.name]] = w[:, None, None] * U[:, :, system._hcols[e.dst]]
+
     iso_dev = 0.0
     for v in g.vertices:
-        dom, cod = _block_dims(g, q1t, q2t, mp, v)
-        # one row per symbol (i, w); the lurking isometry maps u_(v,i,w) to y_(v,i,w)
-        U = np.zeros((k, len(w2), dom), dtype=complex)
-        Y = np.zeros((k, len(w2), cod), dtype=complex)
-        c0 = int(v in q1t)
-        if c0:
-            U[:, :, 0] = np.conj(Z[:, w2, g.vindex[v]])
-        U[:, :, c0:] = cols[v]
-        if v in q2t:
-            Y[:, q2t.index(v), 0] = 1.0
-        for e, rows in _fiber_rows(g, q2t, mp, v):
-            Y[:, :, rows] = weights[:, g.eindex[e], None, None] * cols[g.dst[e]]
-        Umat = U.reshape(k * len(w2), dom).T
-        Ymat = Y.reshape(k * len(w2), cod).T
+        rows, cols = system._block_index(v)
+        dom, cod = len(cols), len(rows)
+        # contiguous, as a block built on its own: BLAS rounding depends on layout
+        Umat = np.ascontiguousarray(U[:, :, cols]).reshape(k * len(w2), dom).T
+        Ymat = np.ascontiguousarray(Y[:, :, rows]).reshape(k * len(w2), cod).T
         gram_gap = np.abs(Umat.conj().T @ Umat - Ymat.conj().T @ Ymat).max(initial=0.0)
         iso_dev = max(iso_dev, float(gram_gap))
         if gram_gap > 1e-6 * (1.0 + scale ** 2):
@@ -559,15 +548,14 @@ def realize_from_samples(points, values, q1, q2, tol=1e-9, rank_tol=1e-9):
             v0 = (Ymat @ coeff) @ W[:, :r].conj().T
         else:
             v0 = np.zeros((cod, dom), dtype=complex)
-        blocks[v] = _complete_block(v0)
+        V[np.ix_(rows, cols)] = _complete_block(v0)
 
-    system = _system_from_vertex_blocks(g, mp, q1t, q2t, blocks)
-    co_res = _coisometry_gap(system._V)
+    co_res = _coisometry_gap(V)
     interp = 0.0
     for i in range(k):
         interp = max(interp, float(np.abs(transfer_eval(system, points[i]) - Z[i]).max(initial=0.0)))
     report = {
-        "multiplicities": dict(mp),
+        "multiplicities": dict(system.m),
         "gram_ranks": m,
         "padding": pad,
         "padding_feasible": pad_ok,

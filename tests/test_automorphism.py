@@ -276,6 +276,16 @@ def test_unitary_json_roundtrip():
         unitary_from_dict(u.graph, {})
 
 
+@pytest.mark.parametrize("lam", [float("nan"), complex("nan+0.1j"), float("inf"), 1.0, 1.5])
+def test_lambda_outside_the_open_disc_is_rejected(lam):
+    # NaN fails abs(lam) >= 1 as well as abs(lam) < 1, so it needs its own check
+    p = make_dual_point(two_vertex_example(), {"g": 0.3})
+    with pytest.raises(ValueError, match=r"\|lambda\| must be < 1"):
+        two_vertex_alpha_lambda(lam, 5)
+    with pytest.raises(ValueError, match=r"\|lambda\| must be < 1"):
+        tau_lambda_matrix(lam, p)
+
+
 def test_alpha_lambda_rejects_negative_truncation_order():
     with pytest.raises(ValueError, match=">= 0"):
         two_vertex_alpha_lambda(0.5, -2)

@@ -451,6 +451,36 @@ def test_report_frame(capsys, tmp_path, graph_file, loop_file):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("lam, code", [("nan", 2), ("inf", 2), ("1", 2), ("0.5", 0)])
+def test_autom_demo_lambda_outside_the_disc_is_input_error(capsys, lam, code):
+    got, rep, err = run_cli(capsys, ["autom-demo", "--npoints", "2", "--lam", lam])
+    assert got == code
+    if code:
+        assert rep is None and err == "input error: |lambda| must be < 1\n"
+    else:
+        assert rep["passed"] and rep["lambda"] == [0.5, 0.0] and err == ""
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
+@pytest.mark.parametrize("name", sorted(TOL_COMMANDS))
+def test_bad_tolerance_is_rejected_by_the_parser(capsys, tmp_path, graph_file, loop_file,
+                                                 name, tol):
+    # a NaN tolerance made reports invalid JSON, a negative one failed every check
+    argv = passing_argvs(tmp_path, graph_file, loop_file)[name]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tol=" + tol])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --tol: must be finite and >= 0, got %r" % tol in err
+
+
+def test_zero_tolerance_parses(tmp_path, graph_file, loop_file):
+    argvs = passing_argvs(tmp_path, graph_file, loop_file)
+    assert len(TOL_COMMANDS) == 7
+    for name in TOL_COMMANDS:
+        assert build_parser().parse_args(argvs[name] + ["--tol", "0"]).tol == 0.0
+
+
 def test_cached_parser_keeps_no_state(capsys, tmp_path, graph_file, loop_file):
     argvs = passing_argvs(tmp_path, graph_file, loop_file)
     sysout = tmp_path / "realized.json"

@@ -30,7 +30,13 @@ from graph_hardy import (
     two_vertex_example,
     validate_system,
 )
-from graph_hardy.realization import _system_from_vertex_blocks
+from graph_hardy import realization
+from graph_hardy.realization import (
+    _PAD_MAX_TOTAL,
+    _block_dims,
+    _pad_multiplicities,
+    _system_from_vertex_blocks,
+)
 from conftest import random_graph
 
 
@@ -270,6 +276,101 @@ def test_feasible_multiplicities_long_repair_terminates():
     assert feasible_multiplicities(g, ["v"], ["v"], {"v": 12000}) == (("v",), {"v": 0})
     with pytest.raises(GraphError, match="nonnegative"):
         feasible_multiplicities(g, ["v"], ["v"], {"v": -1})
+
+
+def _pad_oracle(g, q1, q2, m):
+    """The padding loop as it stood before its sweeps were bounded: sweep
+    until nothing changes, or until the total passes _PAD_MAX_TOTAL."""
+    p = {v: 0 for v in g.vertices}
+    mp = dict(m)
+    while True:
+        changed = False
+        for v in g.vertices:
+            dom, cod = _block_dims(g, set(q1), set(q2), mp, v)
+            if dom < cod:
+                p[v] += cod - dom
+                mp[v] += cod - dom
+                changed = True
+        if not changed:
+            return p, True
+        if sum(p.values()) > _PAD_MAX_TOTAL:
+            return {v: 0 for v in g.vertices}, False
+
+
+def test_pad_multiplicities_matches_unbounded_loop():
+    rng = np.random.default_rng(2024)
+    kinds = dict.fromkeys(["zero", "padded", "infeasible", "loop", "parallel", "sink",
+                           "empty q1", "empty q2", "m > 30"], 0)
+    for _ in range(400):
+        g = random_graph(rng, max_vertices=6, max_edges=10)
+        q1 = [v for v in g.vertices if rng.random() < 0.5]
+        q2 = [v for v in g.vertices if rng.random() < 0.5]
+        mmax = int(rng.choice([1, 3, 60]))
+        m = {v: int(rng.integers(0, mmax + 1)) for v in g.vertices}
+        got = _pad_multiplicities(g, q1, q2, m)
+        assert got == _pad_oracle(g, q1, q2, m)
+        p, ok = got
+        kinds["infeasible" if not ok else "padded" if any(p.values()) else "zero"] += 1
+        ends = [(e.src, e.dst) for e in g.edges]
+        for name, hit in (("loop", any(a == b for a, b in ends)),
+                          ("parallel", len(set(ends)) < len(ends)),
+                          ("sink", any(not g.out_edges(v) for v in g.vertices)),
+                          ("empty q1", not q1), ("empty q2", not q2),
+                          ("m > 30", max(m.values()) > 30)):
+            kinds[name] += hit
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_pad_multiplicities_chain_needs_nv_plus_one_sweeps(monkeypatch):
+    # the sink's output slot pads the sink, then each vertex before it, one
+    # per sweep: the last of nv sweeps settles v0 and sweep nv + 1 confirms
+    n = 6
+    vs = ["v%d" % i for i in range(n)]
+    g = Graph(vs, [("e%d" % i, vs[i], vs[i + 1]) for i in range(n - 1)])
+    calls = []
+    monkeypatch.setattr(realization, "_block_dims",
+                        lambda *a: calls.append(a[-1]) or _block_dims(*a))
+    assert _pad_multiplicities(g, [], [vs[-1]], {v: 0 for v in vs}) == ({v: 1 for v in vs}, True)
+    assert len(calls) == n * (n + 1)
+
+
+def test_pad_multiplicities_total_cap():
+    # v0 => v1 => v2 with 70 parallel edges each: the least padding exists,
+    # (4900, 70, 1), but its total 4,971 is above the state-size cap
+    vs = ["v0", "v1", "v2"]
+    g = Graph(vs, [("a%d" % i, "v0", "v1") for i in range(70)]
+              + [("b%d" % i, "v1", "v2") for i in range(70)])
+    m = {v: 0 for v in vs}
+    assert _pad_multiplicities(g, [], ["v2"], m) == ({v: 0 for v in vs}, False)
+    g2 = Graph(vs, [("a%d" % i, "v0", "v1") for i in range(60)]
+               + [("b%d" % i, "v1", "v2") for i in range(60)])
+    assert _pad_multiplicities(g2, [], ["v2"], m) == ({"v0": 3600, "v1": 60, "v2": 1}, True)
+
+
+def test_realize_random_systems_in_colligation_layout():
+    # samples of random systems on conftest.random_graph seeds whose graphs
+    # have parallel edges, a loop and a sink, realized with q1 != q2; the
+    # graphs of seeds 52 and 73 need a nonzero padding that exists
+    padded = nonzero = 0
+    for seed in (12, 28, 45, 52, 73):
+        g = random_graph(np.random.default_rng(seed))
+        ends = [(e.src, e.dst) for e in g.edges]
+        assert len(set(ends)) < len(ends) and any(a == b for a, b in ends)
+        assert any(not g.out_edges(v) for v in g.vertices)
+        rng = np.random.default_rng(seed)
+        vs = g.vertices
+        for q1, q2 in ((vs, vs[:1]), (vs, vs[::2]), (vs[:1], vs[-1:])):
+            s = random_system(g, rng, mmax=2, q1=q1, q2=q2)
+            assert s.q1 != s.q2
+            pts = [random_point(g, rng, max_norm=0.8) for _ in range(6)]
+            vals = [transfer_eval(s, p) for p in pts]
+            r, rep = realize_from_samples(pts, vals, s.q1, s.q2)
+            scale = max(1.0, max(np.abs(z).max() for z in vals))
+            interp = max(np.abs(transfer_eval(r, p) - z).max() for p, z in zip(pts, vals))
+            assert interp <= 1e-6 * (1.0 + scale)
+            padded += rep["padding_feasible"] and any(rep["padding"].values())
+            nonzero += max(np.abs(z).max() for z in vals) > 1e-2
+    assert padded >= 3 and nonzero >= 10
 
 
 def test_realize_classical_identity_function():
