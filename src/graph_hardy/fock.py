@@ -25,15 +25,16 @@ position of e beta for every edge e and path beta, and creation_matrix
 gathers through them.  Edge-name tuples are built only for fock_basis
 and path_basis.  A negative truncation order N raises ValueError.
 cuntz_toeplitz_check never densifies a block; fock_norm_bound does so
-only up to a small dimension or when ARPACK fails, and ARPACK starts
-from a fixed-seed vector, so a bound is the same on every call.
+only up to a small dimension or when its Lanczos iteration on the Gram
+operator has not converged within a fixed number of steps, and Lanczos
+starts from a fixed-seed vector, so a bound is the same on every call.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from .graph_core import (
     GraphError,
@@ -54,14 +55,26 @@ class HardyPoly:
     """
 
     def __init__(self, graph, coeffs=None):
-        self.graph = graph
-        clean = {}
-        for path, c in (coeffs or {}).items():
+        coeffs = coeffs or {}
+        for path in coeffs:
             if not is_path(graph, path):
                 raise GraphError("not a path of this graph: %r" % (path,))
+        self._fill(graph, coeffs)
+
+    @classmethod
+    def _of_paths(cls, graph, coeffs):
+        """Like the constructor, for keys already known to be paths of graph."""
+        x = cls.__new__(cls)
+        x._fill(graph, coeffs)
+        return x
+
+    def _fill(self, graph, coeffs):
+        clean = {}
+        for path, c in coeffs.items():
             c = complex(c)
             if c != 0:
                 clean[path] = clean.get(path, 0j) + c
+        self.graph = graph
         self.coeffs = clean
 
     # constructors ---------------------------------------------------------
@@ -90,20 +103,22 @@ class HardyPoly:
         return max((len(_path_edges(p)) for p in self.coeffs), default=0)
 
     def __add__(self, other):
+        if other.graph != self.graph:
+            raise GraphError("polynomials live on different graphs")
         out = dict(self.coeffs)
         for p, c in other.coeffs.items():
             out[p] = out.get(p, 0j) + c
-        return HardyPoly(self.graph, out)
+        return HardyPoly._of_paths(self.graph, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return HardyPoly(self.graph, {p: -c for p, c in self.coeffs.items()})
+        return HardyPoly._of_paths(self.graph, {p: -c for p, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if np.isscalar(other):
-            return HardyPoly(self.graph, {p: c * other for p, c in self.coeffs.items()})
+            return HardyPoly._of_paths(self.graph, {p: c * other for p, c in self.coeffs.items()})
         return hardy_mul(self, other)
 
     __rmul__ = __mul__
@@ -129,24 +144,37 @@ def hardy_mul(x, y):
             pq = compose(x.graph, p, q)
             if pq is not None:
                 out[pq] = out.get(pq, 0j) + cp * cq
-    return HardyPoly(x.graph, out)
+    return HardyPoly._of_paths(x.graph, out)
 
 
 def fourier_coeff(x, k):
     """The degree-k homogeneous part of x (k = 0 keeps the vertex terms)."""
-    return HardyPoly(x.graph, {p: c for p, c in x.coeffs.items() if len(_path_edges(p)) == k})
+    return HardyPoly._of_paths(x.graph, {p: c for p, c in x.coeffs.items() if len(_path_edges(p)) == k})
 
 
 # ---------------------------------------------------------------------------
 # truncated Fock space
 
-# fock_norm_bound takes a dense SVD up to this Fock dimension, ARPACK above.
-# Two-vertex graph, best of 7 (numpy 2.4, scipy 1.17, OpenBLAS, 2 CPUs):
-# dense 5.3 vs svds 5.2 ms at dim 141, 13 vs 9.0 ms at 230, 38 vs 9.6 ms at
-# 374.  (On the one-loop graph, whose dim is N + 1, svds is slower to dim 400.)
+# fock_norm_bound takes a dense SVD up to this Fock dimension, Lanczos above.
+# Per bound, best of 9 (numpy 2.4, scipy 1.17, OpenBLAS, 2 CPUs), dense vs
+# Lanczos: two-vertex graph 3.3 vs 3.7 ms at dim 86, 7.2 vs 3.9 at 141, 16
+# vs 5.3 at 230, 42 vs 5.8 at 374, 130 vs 11 at 607; complete 4-edge graph
+# 1.8 vs 2.7 ms at dim 62, 6.0 vs 2.5 at 126, 89 vs 7.3 at 510; one-loop
+# graph (dim N + 1, slow convergence on its Toeplitz compression) 5.8 vs 8.1
+# ms at dim 101, 13 vs 13 at 151, 22 vs 23 at 201, 65 vs 41 at 401.  The
+# first two cross below dim 141, the one-loop graph only above 201.
 _DENSE_SVD_MAX_DIM = 150
-# without a fixed start, svds seeds it from OS entropy and the last bit varies
-_ARPACK_SEED = 0
+# the Lanczos start vector is a Gaussian draw of this seed, so a bound has
+# the same bits on every call
+_LANCZOS_START_SEED = 0
+_LANCZOS_TOL = 1e-14
+# the two-vertex bounds of 180 random degree-2 polynomials stop within 160
+# steps at N = 9 (dim 374) and 310 at N = 14 (dim 4178); one-loop bounds
+# take about 0.6 dim steps (about 250 at dim 401, 900-1,300 at dim 1601)
+_LANCZOS_MAX_STEPS = 1000
+# the 36 two-vertex bounds at N = 9..14 take 0.43 s reading the Ritz pair
+# every 5 steps, 0.94 s every step and 0.53 s every 10
+_RITZ_EVERY = 5
 
 
 def fock_basis(g, N):
@@ -263,22 +291,51 @@ def fock_norm_bound(x, N):
 
     This is a lower bound for the Hardy-algebra norm of x, and it is
     monotone nondecreasing in N because the compressions are nested.
-    Above dimension _DENSE_SVD_MAX_DIM the top singular value comes from
-    ARPACK, started from a Gaussian vector of fixed seed, so repeated
-    calls return the same bits.
+    Above dimension _DENSE_SVD_MAX_DIM the bound is sqrt(theta) for the
+    top eigenvalue theta of the Gram operator M^H M, M the compression,
+    found by Hermitian Lanczos from a Gaussian vector of fixed seed, so
+    repeated calls return the same bits.
     """
     m = creation_matrix(x, N)
     if m.nnz == 0:
         return 0.0
-    dim = m.shape[0]
-    if dim <= _DENSE_SVD_MAX_DIM:
-        return float(np.linalg.svd(m.toarray(), compute_uv=False)[0])
-    v0 = np.random.default_rng(_ARPACK_SEED).standard_normal(dim)
-    try:
-        s = scipy.sparse.linalg.svds(m, k=1, v0=v0, return_singular_vectors=False)
-        return float(s[0])
-    except (scipy.sparse.linalg.ArpackNoConvergence, scipy.sparse.linalg.ArpackError):
-        return float(np.linalg.svd(m.toarray(), compute_uv=False)[0])
+    if m.shape[0] > _DENSE_SVD_MAX_DIM:
+        theta = _gram_top_eigenvalue(m)
+        if theta is not None:
+            return float(np.sqrt(theta))
+    return float(np.linalg.svd(m.toarray(), compute_uv=False)[0])
+
+
+def _gram_top_eigenvalue(m):
+    """Largest eigenvalue of m^H m by three-term Lanczos, or None if the
+    Ritz residual has not dropped below _LANCZOS_TOL within
+    _LANCZOS_MAX_STEPS steps.
+
+    There is no reorthogonalisation and no restart, so each step costs one
+    product with m and one with its adjoint.  Every _RITZ_EVERY steps, and
+    whenever beta_j is below _LANCZOS_TOL times the largest alpha (a lower
+    bound for theta, so an invariant subspace stops the iteration before a
+    division by beta_j = 0), the top Ritz pair (theta, s) of the
+    tridiagonal is read; the iteration stops once beta_j |s_j| <=
+    _LANCZOS_TOL * theta.
+    """
+    mh = m.getH().tocsr()
+    v = np.random.default_rng(_LANCZOS_START_SEED).standard_normal(m.shape[0])
+    v = v / np.linalg.norm(v)
+    v_prev = b_prev = 0.0
+    alpha, beta = [], []
+    for j in range(_LANCZOS_MAX_STEPS):
+        w = mh @ (m @ v)
+        alpha.append(float(np.vdot(v, w).real))
+        w = w - alpha[j] * v - b_prev * v_prev
+        beta.append(float(np.linalg.norm(w)))
+        if (j + 1) % _RITZ_EVERY == 0 or beta[j] <= _LANCZOS_TOL * max(alpha):
+            theta, s = scipy.linalg.eigh_tridiagonal(
+                alpha, beta[:-1], select="i", select_range=(j, j))
+            if beta[j] * abs(s[-1, 0]) <= _LANCZOS_TOL * theta[0]:
+                return float(theta[0])
+        v_prev, v, b_prev = v, w / beta[j], beta[j]
+    return None
 
 
 def certify_contraction(x, N, slack=1e-6):

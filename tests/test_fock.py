@@ -4,8 +4,8 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from graph_hardy import (
     Graph,
@@ -23,7 +23,7 @@ from graph_hardy import (
     two_vertex_example,
 )
 from graph_hardy import fock
-from graph_hardy.graph_core import compose
+from graph_hardy.graph_core import compose, path_source
 from conftest import random_graph
 
 
@@ -273,34 +273,93 @@ def test_norm_bound_shift_and_scaling(g2):
     assert fock_norm_bound(HardyPoly.zero(g2), 3) == 0.0
 
 
-def test_norm_bound_arpack_is_deterministic(g2):
+def test_norm_bound_lanczos_is_deterministic(g2):
     x = random_poly(g2, np.random.default_rng(37), degree=2)
     N = 9
     m = creation_matrix(x, N)
-    assert m.shape[0] > fock._DENSE_SVD_MAX_DIM  # the ARPACK branch
+    assert m.shape[0] > fock._DENSE_SVD_MAX_DIM  # the Lanczos branch
     bounds = {fock_norm_bound(x, N) for _ in range(5)}
     assert len(bounds) == 1
     dense = np.linalg.svd(m.toarray(), compute_uv=False)[0]
     assert abs(bounds.pop() - dense) <= 1e-13 * dense
 
 
-def test_norm_bound_falls_back_only_on_arpack_errors(g2, monkeypatch):
+def test_norm_bound_step_cap_falls_back_to_dense(g2, monkeypatch):
     x = random_poly(g2, np.random.default_rng(41), degree=2)
     N = 9
     dense = np.linalg.svd(creation_matrix(x, N).toarray(), compute_uv=False)[0]
-
-    def no_convergence(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
-
-    monkeypatch.setattr(scipy.sparse.linalg, "svds", no_convergence)
+    monkeypatch.setattr(fock, "_LANCZOS_MAX_STEPS", 3)
     assert fock_norm_bound(x, N) == float(dense)
+
+
+def test_norm_bound_does_not_swallow_errors(g2, monkeypatch):
+    x = random_poly(g2, np.random.default_rng(41), degree=2)
 
     def bug(*args, **kwargs):
         raise TypeError("a programming error")
 
-    monkeypatch.setattr(scipy.sparse.linalg, "svds", bug)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", bug)
     with pytest.raises(TypeError):
-        fock_norm_bound(x, N)
+        fock_norm_bound(x, 9)
+
+
+@pytest.mark.parametrize("make", [HardyPoly.one, lambda g: HardyPoly.shift(g, "g")],
+                         ids=["one", "S_g"])
+def test_norm_bound_stops_on_invariant_subspace(g2, make):
+    # the Gram operator is the identity or a diagonal projection, so the
+    # Krylov space is at most two-dimensional and beta_j drops to rounding
+    x = make(g2)
+    for N in (9, 11):
+        m = creation_matrix(x, N)
+        assert m.shape[0] > fock._DENSE_SVD_MAX_DIM
+        theta = fock._gram_top_eigenvalue(m)
+        assert theta is not None and abs(theta - 1.0) <= 1e-14
+        assert abs(fock_norm_bound(x, N) - 1.0) <= 1e-14
+
+
+def dense_norm(x, N):
+    """np.linalg.svd(...)[0] of the compression, taken block by block: a
+    product of shifts keeps the source of a path, so the paths with a given
+    source span a reducing subspace."""
+    g = x.graph
+    m = creation_matrix(x, N).toarray()
+    source = np.array([path_source(g, p) for p in fock_basis(g, N)])
+    blocks = [source == v for v in g.vertices]
+    assert not any(m[np.ix_(b, ~b)].any() for b in blocks)
+    return max(np.linalg.svd(m[np.ix_(b, b)], compute_uv=False)[0] for b in blocks if b.any())
+
+
+def test_norm_bound_matches_dense_svd():
+    rng = np.random.default_rng(43)
+    loop = Graph(["u"], [("z", "u", "u")])
+    cases = [(random_poly(loop, rng, degree=2), 399),            # dim 400
+             (random_poly(complete_two_vertex(), rng, degree=2), 7)]  # dim 510
+    # seeds 12, 28 and 45 give graphs with a sink, a source and parallel edges
+    for seed, N in ((12, 7), (28, 4), (45, 6)):
+        g = random_graph(np.random.default_rng(seed))
+        assert set(g.vertices) - {e.src for e in g.edges}
+        assert set(g.vertices) - {e.dst for e in g.edges}
+        assert len({(e.src, e.dst) for e in g.edges}) < g.ne
+        cases += [(random_poly(g, rng, degree=d), N) for d in (1, 2, 3)]
+    for x, N in cases:
+        m = creation_matrix(x, N)
+        assert m.shape[0] > fock._DENSE_SVD_MAX_DIM
+        dense = np.linalg.svd(m.toarray(), compute_uv=False)[0]
+        assert abs(fock_norm_bound(x, N) - dense) <= 1e-13 * dense
+
+
+def test_norm_bound_fock_deep_polynomials():
+    # the six polynomials of the fock-deep benchmark workload at seed 1
+    g2 = two_vertex_example()
+    rng = np.random.default_rng(1)
+    for x in [random_poly(g2, rng, degree=2) for _ in range(6)]:
+        bounds = [fock_norm_bound(x, N) for N in range(9, 13)]
+        for b, N in zip(bounds, range(9, 13)):
+            assert fock_norm_bound(x, N) == b  # fixed start: the same bits again
+            dense = dense_norm(x, N)
+            assert abs(b - dense) <= 1e-13 * dense
+        for lo, hi in zip(bounds, bounds[1:]):
+            assert lo <= hi * (1 + 1e-12)
 
 
 def test_norm_bound_classical_oracle():
@@ -352,6 +411,14 @@ def test_poly_graph_mismatch(g2):
     other = Graph(["u"], [("z", "u", "u")])
     with pytest.raises(GraphError):
         HardyPoly.shift(g2, "e") * HardyPoly.vertex(other, "u")
+    # sums check the graphs, not only the keys: "v" is a path of both
+    same_names = Graph(["v", "w"], [])
+    for x, y in ((HardyPoly.shift(g2, "e"), HardyPoly.vertex(other, "u")),
+                 (HardyPoly.vertex(g2, "v"), HardyPoly.vertex(same_names, "v"))):
+        with pytest.raises(GraphError):
+            x + y
+        with pytest.raises(GraphError):
+            y - x
 
 
 @pytest.mark.parametrize("call", [
