@@ -25,6 +25,10 @@ print a report of only "command", "passed", "error" and "kind"
 observed and are byte-identical across runs for the same inputs;
 autom-demo draws its points from --seed, the only option that takes a
 seed.
+
+Only fock-check loads scipy (for its sparse creation matrices); the
+other subcommands run on numpy alone, so their processes never pay for
+importing scipy.
 """
 
 from __future__ import annotations
@@ -153,7 +157,7 @@ def cmd_eval(args, g, read):
             "value_max_abs": _max_abs(value), "passed": True}
 
 
-@_command("pick", "feasibility of constrained interpolation",
+@_command("pick", "feasibility of left-tangential interpolation B_i X(eta_i*) = C_i",
           points=dict(required=True, help='JSON file {"points": [...], "B": [...], "C": [...]}'))
 def cmd_pick(args, g, read):
     data, pts = _points(g, read)

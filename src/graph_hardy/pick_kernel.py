@@ -9,9 +9,11 @@ R_ij = (id - theta_{eta_i, eta_j})^{-1}, the two kernels used here are
 
 where the targets B_i, C_i, Z_i are nv x nv matrices (vertex functions
 embed as diagonals) and R_ij(a) is embedded as a diagonal matrix.  The
-matrix of maps is completely positive iff a contractive interpolant
-exists (pick), resp. iff the Z_i are values of a Schur-class element at
-the eta_i.
+matrix of maps is completely positive iff a contractive X solves the
+left-tangential problem B_i X(eta_i*) = C_i (pick), resp. iff the Z_i
+are values of a Schur-class element at the eta_i.  B_i multiplies from
+the left: with non-commuting B_i, data C_i = X(eta_i*) B_i of a
+contraction X are in general rejected.
 
 Complete positivity of such a matrix of maps on C(V) reduces to finitely
 many finite matrices: for each vertex u, form the Choi block
@@ -110,7 +112,7 @@ def _kernel(g, R, plus=None, minus=None):
 
 
 def pick_map_matrix(points, B, C):
-    """Kernel of the constrained interpolation problem X^(eta_i*) B_i = C_i.
+    """Kernel of the left-tangential interpolation problem B_i X(eta_i*) = C_i.
 
     Entry (i, j) is the map a |-> B_i R_ij(a) B_j^* - C_i R_ij(a) C_j^*.
     """
@@ -171,7 +173,7 @@ def is_completely_positive(m, tol=1e-9):
 
 
 def pick_feasibility(points, B, C, tol=1e-9):
-    """Full feasibility check for X^(eta_i*) B_i = C_i with ||X|| <= 1."""
+    """Full feasibility check for B_i X(eta_i*) = C_i with ||X|| <= 1."""
     report = is_completely_positive(pick_map_matrix(points, B, C), tol=tol)
     report["feasible"] = report["cp"]
     return report

@@ -37,7 +37,6 @@ matrix off a coisometric completion of that isometry.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .graph_core import (
     ConditioningError,
@@ -441,6 +440,15 @@ def _pad_multiplicities(g, q1, q2, m):
     return {v: 0 for v in g.vertices}, False
 
 
+def _null_space(a):
+    """Orthonormal basis of the null space of a, the columns of scipy's
+    null_space(a) bit for bit: the trailing right singular vectors of a
+    full SVD, cut at eps * max(a.shape) * (largest singular value)."""
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    tol = np.amax(s, initial=0.0) * np.finfo(s.dtype).eps * max(a.shape)
+    return vh[np.sum(s > tol, dtype=int):].conj().T
+
+
 def _complete_block(blk):
     """Extend a partial isometry (cod x dom) to a coisometry when dom allows.
 
@@ -454,8 +462,8 @@ def _complete_block(blk):
     r = int(np.sum(sig > 1e-8 * max(1.0, sig[0])))
     Wr = W[:, :r]
     Tr = Th[:r, :].conj().T
-    w_extra = scipy.linalg.null_space(Wr.conj().T) if r < cod else np.zeros((cod, 0))
-    t_extra = scipy.linalg.null_space(Tr.conj().T) if r < dom else np.zeros((dom, 0))
+    w_extra = _null_space(Wr.conj().T) if r < cod else np.zeros((cod, 0))
+    t_extra = _null_space(Tr.conj().T) if r < dom else np.zeros((dom, 0))
     t = min(w_extra.shape[1], t_extra.shape[1])
     return blk + w_extra[:, :t] @ t_extra[:, :t].conj().T
 

@@ -27,11 +27,13 @@ from graph_hardy import (
     poly_to_terms,
     random_point,
     random_poly,
+    random_system,
     system_from_dict,
     system_to_dict,
     transfer_eval,
     two_vertex_example,
 )
+from graph_hardy import realization
 from graph_hardy.cli import build_parser, main
 
 
@@ -555,6 +557,53 @@ def test_module_and_script_entry_points(tmp_path):
     r = subprocess.run([sys.executable, "-c", launcher, "fock-check", "--graph",
                         str(gfile), "--N", "3"], capture_output=True, text=True, env=env)
     assert r.returncode == 0
+
+
+SCIPY_PROBE = """\
+import json, sys
+import graph_hardy
+from graph_hardy.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+seen = [("import", 0, scipy_modules())]
+for argv in json.loads(sys.argv[2]):
+    seen.append((argv[0], main(argv), scipy_modules()))
+with open(sys.argv[1], "w") as fh:
+    json.dump(seen, fh)
+"""
+
+
+def test_only_fock_check_loads_scipy(capsys, monkeypatch, tmp_path, graph_file, loop_file):
+    # one fresh interpreter: import, every other subcommand, then fock-check
+    argvs = passing_argvs(tmp_path, graph_file, loop_file)
+    fock_check = argvs.pop("fock-check")
+    # a realization whose completion takes null spaces (seen in process)
+    g, rng = two_vertex_example(), np.random.default_rng(1)
+    s = random_system(g, rng, mmax=2)
+    pts = [random_point(g, rng, max_norm=0.7) for _ in range(3)]
+    samples = write_json(tmp_path / "samples2.json", {
+        "points": [point_to_dict(p) for p in pts],
+        "values": [[[[z.real, z.imag] for z in row] for row in transfer_eval(s, p)]
+                   for p in pts],
+        "q1": list(s.q1), "q2": list(s.q2)})
+    realize2 = ["realize", "--graph", graph_file, "--points", samples]
+    calls = []
+    null_space = realization._null_space
+    monkeypatch.setattr(realization, "_null_space", lambda a: calls.append(a) or null_space(a))
+    assert main(realize2) == 0 and calls
+    capsys.readouterr()
+    order = list(argvs.values()) + [realize2, fock_check]
+    result = tmp_path / "seen.json"
+    r = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(result), json.dumps(order)],
+                       capture_output=True, text=True, env=package_env())
+    assert r.returncode == 0, r.stderr
+    seen = json.loads(result.read_text())
+    assert [name for name, _, _ in seen] == ["import"] + [argv[0] for argv in order]
+    for name, code, modules in seen:
+        assert code == 0
+        assert bool(modules) == (name == "fock-check"), (name, modules)
 
 
 @pytest.mark.skipif(shutil.which("graph-hardy") is None,

@@ -24,10 +24,12 @@ from graph_hardy import (
     pick_map_matrix,
     random_point,
     random_poly,
+    random_system,
     resolvent_matrix,
     schur_class_check,
     schur_kernel_matrix,
     theta_matrix,
+    transfer_eval,
     two_vertex_example,
     zero_point,
 )
@@ -161,6 +163,22 @@ def test_pick_detects_classical_infeasible():
     rep = pick_feasibility(pts, [1.0, 1.0], list(c))
     assert not rep["feasible"]
     assert abs(rep["worst_min_eig"] - oracle_min) < 1e-10
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pick_is_left_tangential(seed):
+    # X is the transfer of a coisometric system, so a contraction that
+    # solves B_i X(eta_i*) = B_i X_i; the kernel must accept these data.
+    # With non-commuting B_i the right-sided data X_i B_i are rejected,
+    # though the same X satisfies X(eta_i*) B_i = X_i B_i.
+    g = two_vertex_example()
+    rng = np.random.default_rng(seed)
+    s = random_system(g, rng)
+    pts = [random_point(g, rng, max_norm=0.8) for _ in range(6)]
+    B = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in pts]
+    X = [transfer_eval(s, p) for p in pts]
+    assert pick_feasibility(pts, B, [b @ x for b, x in zip(B, X)])["feasible"]
+    assert not pick_feasibility(pts, B, [x @ b for b, x in zip(B, X)])["feasible"]
 
 
 def test_schur_kernel_cp_for_true_samples():

@@ -34,6 +34,7 @@ from graph_hardy import realization
 from graph_hardy.realization import (
     _PAD_MAX_TOTAL,
     _block_dims,
+    _null_space,
     _pad_multiplicities,
     _system_from_vertex_blocks,
 )
@@ -345,6 +346,35 @@ def test_pad_multiplicities_total_cap():
     g2 = Graph(vs, [("a%d" % i, "v0", "v1") for i in range(60)]
                + [("b%d" % i, "v1", "v2") for i in range(60)])
     assert _pad_multiplicities(g2, [], ["v2"], m) == ({"v0": 3600, "v1": 60, "v2": 1}, True)
+
+
+def test_null_space_is_scipys_bit_for_bit():
+    # _complete_block takes null spaces of matrices with orthonormal rows;
+    # here the blocks are generic complex ones of every rank from 0 (the
+    # zero matrix) to full, wide, tall and empty
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(2024)
+    cases = [np.zeros((0, 4), complex), np.zeros((3, 0), complex), np.zeros((0, 0), complex),
+             np.zeros((3, 5), complex), np.zeros((4, 2), complex)]
+    for _ in range(300):
+        rows, cols = (int(n) for n in rng.integers(1, 9, size=2))
+        rank = int(rng.integers(0, min(rows, cols) + 1))
+        left = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+        right = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
+        a = left @ right
+        cases += [a, np.linalg.qr(a.conj().T)[0].conj().T[:rank]]
+    # graded singular values from 1 down to 1e-17, across the cut
+    for n in range(3, 9):
+        q = [np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+             for _ in range(2)]
+        cases.append(q[0] @ np.diag(np.logspace(0, -17, n)) @ q[1])
+    ranks = set()
+    for a in cases:
+        got, want = _null_space(a), scipy_linalg.null_space(a)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        ranks.add(a.shape[1] - got.shape[1])
+    assert set(range(8)) <= ranks
 
 
 def test_realize_random_systems_in_colligation_layout():
