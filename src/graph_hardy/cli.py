@@ -207,10 +207,13 @@ def cmd_realize(args, g, read):
     sdict = system_to_dict(system)
     if args.out:
         _emit(sdict, args.out)
-    keep = ("multiplicities", "gram_ranks", "padding", "padding_feasible",
+    keep = ("multiplicities", "gram_ranks", "padding", "padding_feasible", "class", "norm",
             "coisometry_residual", "interpolation_residual")
+    # realize_from_samples raises ConditioningError on samples it misses, so
+    # the interpolation is within its bound here; passed does not mean coisometric
     return dict({k: rep[k] for k in keep}, worst_residual=rep["interpolation_residual"],
-                system_written_to=args.out, system=None if args.out else sdict, passed=True)
+                system_written_to=args.out, system=None if args.out else sdict,
+                passed=bool(rep["norm"] <= 1.0 + args.tol))
 
 
 @_command("mobius", "Mobius involution and its colligation",

@@ -29,9 +29,11 @@ coefficient
     coeff(e1 ... en) = B_{r(e1)} D^{(e1)} ... D^{(e n-1)} C^{(en)}.
 
 realize_from_samples inverts this: from finitely many samples of a
-Schur-class element it builds the Gram spaces of the Schur kernel, the
-lurking isometry that the kernel identity provides, and reads a system
-matrix off a coisometric completion of that isometry.
+Schur-class element it builds the Gram spaces of the Schur kernel and the
+lurking isometry that the kernel identity provides, and writes each
+vertex block of V as the polar factor of that isometry's data.  The
+result is a contraction, and a coisometry when the padded multiplicities
+allow one; either way its transfer is of Schur class.
 """
 
 from __future__ import annotations
@@ -187,9 +189,11 @@ class SystemMatrix:
 
 
 def _spec_norm(M):
+    """np.linalg.norm(M, 2) bit for bit, without its wrapper: the largest
+    singular value."""
     if M.size == 0:
         return 0.0
-    return float(np.linalg.norm(M, 2))
+    return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
 def _coisometry_gap(M):
@@ -229,39 +233,47 @@ def validate_system(s, tol=1e-9):
 # ---------------------------------------------------------------------------
 # transfer function
 
-def _insertion_blocks(s, point):
-    """(LD, LC): the maps L* D on H and L* C from the q1 slots into H.
+def _insertion_blocks(s, weights):
+    """(LD, LC) at the points whose edge weights are the rows of weights:
+    the maps L* D on H and L* C from the q1 slots into H, stacked.
 
     L* adds conj(w_e) times the fiber rows of e, which hold C^{(e)} and
     D^{(e)}, into the rows of H_{r(e)}.
     """
-    LV = np.zeros((s.h_dim(), s._V.shape[1]), dtype=complex)
-    cw = np.conj(point.weights)
+    LV = np.zeros((len(weights), s.h_dim(), s._V.shape[1]), dtype=complex)
+    cw = np.conj(weights)
     for i, e in enumerate(s.graph.edges):
-        LV[s._hoff[e.dst]] += cw[i] * s._V[s._fiber[e.name]]
+        LV[:, s._hoff[e.dst]] += cw[:, i, None, None] * s._V[s._fiber[e.name]]
     n1 = len(s.q1)
-    return LV[:, n1:], LV[:, :n1]
+    return LV[:, :, n1:], LV[:, :, :n1]
 
 
 def _embed_output(s, X):
-    """A + B X on the q2 x q1 slots, embedded in an nv x nv matrix.  The B
-    row of v is zero outside H_v, so only its H_v part is multiplied: a sum
-    over H_v alone does not pick up rounding from the other fibers' order."""
+    """A + B X on the q2 x q1 slots for each X in the stack, embedded in
+    nv x nv matrices.  The B row of v is zero outside H_v, so only its H_v
+    part is multiplied: a sum over H_v alone does not pick up rounding from
+    the other fibers' order."""
     g = s.graph
     n1 = len(s.q1)
-    out = s._V[:len(s.q2), :n1].copy()
+    Z = np.zeros((len(X), g.nv, g.nv), dtype=complex)
+    cols = [g.vindex[v] for v in s.q1]
     for i, v in enumerate(s.q2):
-        out[i] += (s._V[i:i + 1, s._hcols[v]] @ X[s._hoff[v]])[0]
-    Z = np.zeros((g.nv, g.nv), dtype=complex)
-    Z[np.ix_([g.vindex[v] for v in s.q2], [g.vindex[v] for v in s.q1])] = out
+        Z[:, g.vindex[v], cols] = s._V[i, :n1] + s._V[i, s._hcols[v]] @ X[:, s._hoff[v]]
     return Z
+
+
+def _transfer_values(s, weights):
+    """transfer_eval at the points whose edge weights are the rows of
+    weights, stacked in one (k, nv, nv) array."""
+    LD, LC = _insertion_blocks(s, weights)
+    # id - L* D overwrites L* D: at many points the stack is the largest array here
+    X = np.linalg.solve(np.subtract(np.eye(LD.shape[1]), LD, out=LD), LC)
+    return _embed_output(s, X)
 
 
 def transfer_eval(s, point):
     """Z(eta*) = A + B (id - L* D)^{-1} L* C as an nv x nv matrix."""
-    LD, LC = _insertion_blocks(s, point)
-    X = np.linalg.solve(np.eye(LD.shape[0]) - LD, LC)
-    return _embed_output(s, X)
+    return _transfer_values(s, point.weights[None])[0]
 
 
 def transfer_partial_sum(s, point, N):
@@ -273,7 +285,7 @@ def transfer_partial_sum(s, point, N):
     """
     if N < 0:
         raise ValueError("partial-sum degree N must be >= 0, got %d" % N)
-    LD, LC = _insertion_blocks(s, point)
+    LD, LC = (a[0] for a in _insertion_blocks(s, point.weights[None]))
     if N == 0:
         acc = np.zeros_like(LC)
     else:
@@ -282,7 +294,7 @@ def transfer_partial_sum(s, point, N):
         for _ in range(N - 1):
             term = LD @ term
             acc += term
-    return _embed_output(s, acc)
+    return _embed_output(s, acc[None])[0]
 
 
 def series_residual(s, point, N):
@@ -320,18 +332,21 @@ def taylor_extract(s, N):
     out = []
     for n, level_range in enumerate(index.range):
         if n:
+            # level n lists the paths e beta edge by edge, so edge i owns
+            # the rows ends[i]:ends[i + 1] and their tails beta, in order
             nxt = np.zeros((len(level_range), s._V.shape[1]), dtype=complex)
+            ends = np.searchsorted(index.head[n], np.arange(live.ne + 1))
             for i, e in enumerate(live.edges):
-                beta = np.flatnonzero(index.child[n][i] >= 0)
-                nxt[index.child[n][i, beta], s._hcols[e.dst]] = (
-                    state[beta] @ s._V[s._fiber[e.name]].T)
+                beta = index.tail[n][ends[i]:ends[i + 1]]
+                nxt[ends[i]:ends[i + 1], s._hcols[e.dst]] = state[beta] @ s._V[s._fiber[e.name]].T
             state = nxt
         if not state.any():
             break  # every longer path extends one of these, so its state is zero too
         hit = np.flatnonzero(slot[level_range] >= 0)
         coeffs = np.einsum("ij,ij->i", state[hit], s._V[slot[level_range[hit]]])
         nonzero = coeffs != 0
-        out.append(HardyPoly(g, dict(zip(index.paths(n, hit[nonzero]), coeffs[nonzero]))))
+        out.append(HardyPoly._of_paths(g, dict(zip(index.paths(n, hit[nonzero]),
+                                                   coeffs[nonzero]))))
     return out + [HardyPoly.zero(g) for _ in range(len(out), len(index.range))]
 
 
@@ -409,11 +424,13 @@ def _system_from_vertex_blocks(g, m, q1, q2, blocks):
 # realization from samples
 
 _PAD_MAX_TOTAL = 4000
+# Gram eigenvalues at or below this fraction of the largest are dropped
+_GRAM_CUT = 1e-13
 
 
 def _pad_multiplicities(g, q1, q2, m):
     """Least padding p >= 0 with domain >= codomain at every vertex once
-    m + p is used.  Returns (p, feasible).
+    m + p is used.  Returns (p, feasible, capped).
 
     At v the condition is p_v >= c_v + sum of p_{r(e)} over s(e) = v, with
     c_v fixed by m, q1, q2.  A sweep raises each p_v in vertex order to the
@@ -421,8 +438,9 @@ def _pad_multiplicities(g, q1, q2, m):
     The vertices the least solution pads span no cycle (lowering p by one
     along it would keep every condition), so a sweep settles each vertex
     after those it reaches through padded vertices: all by sweep nv, and a
-    change in sweep nv + 1 proves that no padding exists.  A total above
-    _PAD_MAX_TOTAL is reported infeasible too; it caps the state size."""
+    change in sweep nv + 1 proves that no padding exists.  A least padding
+    whose total is above _PAD_MAX_TOTAL, which caps the state size, is
+    reported infeasible too, with capped set.  When infeasible, p is 0."""
     p = {v: 0 for v in g.vertices}
     mp = dict(m)  # m + p, kept in step with p
     for _ in range(g.nv + 1):
@@ -434,54 +452,31 @@ def _pad_multiplicities(g, q1, q2, m):
                 mp[v] += cod - dom
                 changed = True
         if not changed:
-            return p, True
-        if sum(p.values()) > _PAD_MAX_TOTAL:
-            break
-    return {v: 0 for v in g.vertices}, False
+            capped = sum(p.values()) > _PAD_MAX_TOTAL
+            return ({v: 0 for v in g.vertices} if capped else p), not capped, capped
+    return {v: 0 for v in g.vertices}, False, False
 
 
-def _null_space(a):
-    """Orthonormal basis of the null space of a, the columns of scipy's
-    null_space(a) bit for bit: the trailing right singular vectors of a
-    full SVD, cut at eps * max(a.shape) * (largest singular value)."""
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    tol = np.amax(s, initial=0.0) * np.finfo(s.dtype).eps * max(a.shape)
-    return vh[np.sum(s > tol, dtype=int):].conj().T
-
-
-def _complete_block(blk):
-    """Extend a partial isometry (cod x dom) to a coisometry when dom allows.
-
-    Pairs an orthonormal basis of the cokernel with unused domain
-    directions; codomain directions left over stay unpaired.
-    """
-    cod, dom = blk.shape
-    if cod == 0 or dom == 0:
-        return blk
-    W, sig, Th = np.linalg.svd(blk, full_matrices=False)
-    r = int(np.sum(sig > 1e-8 * max(1.0, sig[0])))
-    Wr = W[:, :r]
-    Tr = Th[:r, :].conj().T
-    w_extra = _null_space(Wr.conj().T) if r < cod else np.zeros((cod, 0))
-    t_extra = _null_space(Tr.conj().T) if r < dom else np.zeros((dom, 0))
-    t = min(w_extra.shape[1], t_extra.shape[1])
-    return blk + w_extra[:, :t] @ t_extra[:, :t].conj().T
-
-
-def realize_from_samples(points, values, q1, q2, tol=1e-9, rank_tol=1e-9):
+def realize_from_samples(points, values, q1, q2, tol=1e-9):
     """Build a system matrix whose transfer interpolates the given samples.
 
     points: dual points in the open ball; values: nv x nv sample matrices
     supported on q2 x q1.  Steps: (1) Schur-kernel CP check (raises
     FeasibilityError if it fails); (2) per-vertex Gram spaces from the
-    Choi blocks, rank-truncated at rank_tol * (largest eigenvalue);
-    (3) per-vertex padding of the multiplicities so a coisometric
-    completion can exist; (4) the lurking isometry u -> y that the kernel
-    identity makes inner-product preserving, in the rows and columns of V;
-    (5) per vertex block its completion, written into V.  Returns (system,
-    report); the report carries multiplicities, padding, residuals, and the
-    Gram ranks.  The transfer of the result reproduces the samples; away
-    from the samples it is one specific Schur-class interpolant.
+    Choi blocks, cut at _GRAM_CUT * (largest eigenvalue); (3) per-vertex
+    padding of the multiplicities so a coisometric completion can exist;
+    (4) the lurking isometry u -> y that the kernel identity makes
+    inner-product preserving, in the rows and columns of V; (5) per vertex
+    block the polar factor of Y U*, written into V.  Its leading singular
+    pairs map U onto Y (the orthogonal Procrustes solution, exact when
+    U* U = Y* Y) and its trailing pairs complete it to a coisometry, or to
+    an isometry where the block is taller than wide, so ||V|| = 1 whatever
+    the conditioning of U.  Returns (system, report); the report carries
+    multiplicities, padding, residuals, the Gram ranks, ||V|| as "norm"
+    and "class": "coisometric" when V V* = id within tol, else
+    "contractive".  The transfer of the result reproduces the samples
+    (ConditioningError otherwise); away from the samples it is one
+    specific Schur-class interpolant.
     """
     k = len(points)
     if k == 0 or len(values) != k:
@@ -513,11 +508,11 @@ def realize_from_samples(points, values, q1, q2, tol=1e-9, rank_tol=1e-9):
     for u, v in enumerate(g.vertices):
         ch = kern.choi_block(u)
         lam, Q = np.linalg.eigh(0.5 * (ch + ch.conj().T))
-        keep = lam > rank_tol * float(lam.max(initial=0.0))
+        keep = lam > _GRAM_CUT * float(lam.max(initial=0.0))
         phi[v] = np.sqrt(np.clip(lam[keep], 0.0, None))[:, None] * Q[:, keep].conj().T
     m = {v: phi[v].shape[0] for v in g.vertices}  # phi[v] is (m_v, k * nv)
 
-    pad, pad_ok = _pad_multiplicities(g, q1t, q2t, m)
+    pad, pad_ok, pad_capped = _pad_multiplicities(g, q1t, q2t, m)
     system = SystemMatrix(g, {v: m[v] + pad[v] for v in g.vertices}, q1t, q2t)
     V = system._V
 
@@ -533,10 +528,13 @@ def realize_from_samples(points, values, q1, q2, tol=1e-9, rank_tol=1e-9):
         h = system._hcols[v].start
         U[:, :, h:h + m[v]] = phi[v].reshape(m[v], k, nv)[:, :, w2].transpose(1, 2, 0)
     Y[:, np.arange(len(w2)), np.arange(len(w2))] = 1.0  # the E2 slot of q2[j] is row j
-    for e, w in zip(g.edges, np.array([p.weights for p in points]).T):
+    weights = np.array([p.weights for p in points])  # (k, ne)
+    for e, w in zip(g.edges, weights.T):
         Y[:, :, system._fiber[e.name]] = w[:, None, None] * U[:, :, system._hcols[e.dst]]
 
-    iso_dev = 0.0
+    # V is block diagonal over the vertices, so ||V V* - id|| and ||V|| are
+    # the largest of the blocks' values, at a fraction of the cost
+    iso_dev = co_res = norm = 0.0
     for v in g.vertices:
         rows, cols = system._block_index(v)
         dom, cod = len(cols), len(rows)
@@ -548,27 +546,24 @@ def realize_from_samples(points, values, q1, q2, tol=1e-9, rank_tol=1e-9):
         if gram_gap > 1e-6 * (1.0 + scale ** 2):
             raise ConditioningError(
                 "lurking isometry broke at vertex %r (Gram gap %.3e)" % (v, gram_gap))
-        # partial isometry on the span of the u columns
-        if Umat.shape[1] and dom and np.abs(Umat).max(initial=0.0) > 0:
-            W, sig, Th = np.linalg.svd(Umat, full_matrices=False)
-            r = int(np.sum(sig > 1e-12 * max(1.0, sig[0])))
-            coeff = Th[:r, :].conj().T / sig[:r]
-            v0 = (Ymat @ coeff) @ W[:, :r].conj().T
-        else:
-            v0 = np.zeros((cod, dom), dtype=complex)
-        V[np.ix_(rows, cols)] = _complete_block(v0)
+        # the polar factor of Y U*: maps U onto Y, and has norm 1
+        P, _, Qh = np.linalg.svd(Ymat @ Umat.conj().T, full_matrices=False)
+        n = min(cod, dom)
+        V[np.ix_(rows, cols)] = blk = P[:, :n] @ Qh[:n]
+        co_res = max(co_res, _coisometry_gap(blk))
+        norm = max(norm, _spec_norm(blk))
 
-    co_res = _coisometry_gap(V)
-    interp = 0.0
-    for i in range(k):
-        interp = max(interp, float(np.abs(transfer_eval(system, points[i]) - Z[i]).max(initial=0.0)))
+    interp = float(np.abs(_transfer_values(system, weights) - Z).max(initial=0.0))
     report = {
         "multiplicities": dict(system.m),
         "gram_ranks": m,
         "padding": pad,
         "padding_feasible": pad_ok,
+        "padding_capped": pad_capped,
         "isometry_gap": iso_dev,
         "coisometry_residual": co_res,
+        "norm": norm,
+        "class": "coisometric" if co_res < tol else "contractive",
         "interpolation_residual": interp,
         "cp_worst_min_eig": cp["worst_min_eig"],
     }

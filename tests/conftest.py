@@ -3,7 +3,14 @@
 import numpy as np
 from hypothesis import settings
 
-from graph_hardy import Graph
+from graph_hardy import (
+    Graph,
+    certify_contraction,
+    evaluate_poly,
+    random_point,
+    random_poly,
+    two_vertex_example,
+)
 
 settings.register_profile("suite", deadline=None, max_examples=25, derandomize=True)
 settings.load_profile("suite")
@@ -24,6 +31,18 @@ def random_graph(rng, max_vertices=5, max_edges=8, ensure_loop=False):
         v = vertices[int(rng.integers(0, nv))]
         edges[0] = (edges[0][0], v, v)
     return Graph(vertices, edges)
+
+
+def corpus_samples(seed, k):
+    """Realization corpus case: (graph, points, values) for the first k of
+    10 points at which a certified degree-2 contraction on the two-vertex
+    graph is sampled, drawn from seed as the realize-samples benchmark
+    workload draws its corpus (seeds 100-119, k = 4 and 10)."""
+    g = two_vertex_example()
+    rng = np.random.default_rng(seed)
+    x, _ = certify_contraction(random_poly(g, rng, degree=2), 9)
+    pts = [random_point(g, rng, max_norm=0.8) for _ in range(10)][:k]
+    return g, pts, [evaluate_poly(x, p) for p in pts]
 
 
 def adjacency(g):

@@ -17,7 +17,6 @@ from graph_hardy import (
     HardyPoly,
     SystemMatrix,
     central_to_dict,
-    certify_contraction,
     evaluate_poly,
     graph_to_dict,
     make_central_point,
@@ -26,7 +25,6 @@ from graph_hardy import (
     point_to_dict,
     poly_to_terms,
     random_point,
-    random_poly,
     random_system,
     system_from_dict,
     system_to_dict,
@@ -35,6 +33,7 @@ from graph_hardy import (
 )
 from graph_hardy import realization
 from graph_hardy.cli import build_parser, main
+from conftest import corpus_samples, random_graph
 
 
 def write_json(path, obj):
@@ -268,25 +267,56 @@ def test_realize_infeasible_exit_code(capsys, tmp_path, loop_file):
     assert not sysout.exists()
 
 
-def test_realize_conditioning_exit_code(capsys, tmp_path, graph_file):
-    # item-2 corpus seed 101 at k = 10: Schur-class data on which the Gram
-    # construction breaks down numerically; that is not malformed input
-    g = two_vertex_example()
-    rng = np.random.default_rng(101)
-    x, _ = certify_contraction(random_poly(g, rng, degree=2), 9)
-    pts = [random_point(g, rng, max_norm=0.8) for _ in range(10)]
-    vals = [evaluate_poly(x, p) for p in pts]
-    payload = {"points": [point_to_dict(p) for p in pts],
-               "values": [[[[z.real, z.imag] for z in row] for row in v] for v in vals],
-               "q1": list(g.vertices), "q2": list(g.vertices)}
-    f = write_json(tmp_path / "corpus101.json", payload)
+def samples_payload(pts, vals, q1, q2):
+    return {"points": [point_to_dict(p) for p in pts],
+            "values": [[[[z.real, z.imag] for z in row] for row in v] for v in vals],
+            "q1": list(q1), "q2": list(q2)}
+
+
+def test_realize_conditioning_exit_code(capsys, monkeypatch, tmp_path, graph_file):
+    # corpus seed 101 at k = 10 realizes as a contraction; a Gram cut so
+    # coarse that it breaks the kernel identity is a numeric breakdown on
+    # valid input (exit 3), not malformed input
+    g, pts, vals = corpus_samples(101, 10)
+    f = write_json(tmp_path / "corpus101.json", samples_payload(pts, vals, g.vertices, g.vertices))
     sysout = tmp_path / "sys.json"
-    code, rep, err = run_cli(capsys, ["realize", "--graph", graph_file, "--points", f,
-                                      "--out", str(sysout)])
+    argv = ["realize", "--graph", graph_file, "--points", f, "--out", str(sysout)]
+    code, rep, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "") and rep["passed"]
+    assert rep["class"] == "contractive" and rep["norm"] <= 1.0 + 1e-12
+    sysout.unlink()
+    monkeypatch.setattr(realization, "_GRAM_CUT", 0.5)
+    code, rep, err = run_cli(capsys, argv)
     assert code == 3 and err == ""
     assert rep == {"command": "realize", "passed": False, "kind": "conditioning",
-                   "error": "realized transfer misses the samples by 4.955e-04"}
+                   "error": "lurking isometry broke at vertex 'v' (Gram gap 2.868e-01)"}
     assert not sysout.exists()
+
+
+def test_realize_class_agrees_with_transfer(capsys, tmp_path, graph_file):
+    # realize passes a contraction that transfer, whose verdict is
+    # coisometry, fails; a coisometric realization passes both
+    g2, pts, vals = corpus_samples(101, 4)
+    g52 = random_graph(np.random.default_rng(52))
+    rng = np.random.default_rng(52)
+    s = random_system(g52, rng, mmax=2)
+    pts52 = [random_point(g52, rng, max_norm=0.7) for _ in range(4)]
+    cases = [(graph_file, samples_payload(pts, vals, g2.vertices, g2.vertices), pts[0],
+              "contractive", 1),
+             (write_json(tmp_path / "g52.json", graph_to_dict(g52)),
+              samples_payload(pts52, [transfer_eval(s, p) for p in pts52], s.q1, s.q2),
+              pts52[0], "coisometric", 0)]
+    for i, (gfile, payload, pt, cls, transfer_code) in enumerate(cases):
+        f = write_json(tmp_path / ("samples%d.json" % i), payload)
+        ptf = write_json(tmp_path / ("pt%d.json" % i), point_to_dict(pt))
+        sysout = tmp_path / ("sys%d.json" % i)
+        code, rep, _ = run_cli(capsys, ["realize", "--graph", gfile, "--points", f,
+                                        "--out", str(sysout)])
+        assert code == 0 and rep["passed"] and rep["class"] == cls
+        assert rep["padding_feasible"] == (cls == "coisometric")
+        code, rep, _ = run_cli(capsys, ["transfer", "--graph", gfile, "--system", str(sysout),
+                                        "--point", ptf])
+        assert code == transfer_code and rep["validation"]["passed"] == (cls == "coisometric")
 
 
 def test_realize_unknown_vertex_exit_code(capsys, tmp_path, graph_file):
@@ -393,7 +423,8 @@ FRAME_KEYS = {
     "transfer": {"command", "inputs", "tol", "N", "validation", "value", "series_residual",
                  "tail_bound", "worst_residual", "passed"},
     "realize": {"command", "inputs", "tol", "multiplicities", "gram_ranks", "padding",
-                "padding_feasible", "coisometry_residual", "interpolation_residual",
+                "padding_feasible", "class", "norm", "coisometry_residual",
+                "interpolation_residual",
                 "worst_residual", "system_written_to", "system", "passed"},
     "mobius": {"command", "inputs", "tol", "colligation", "g_at_zero_vs_gamma",
                "g_at_gamma_vs_zero", "image_weights", "image_norm", "involution_residual",
@@ -575,25 +606,17 @@ with open(sys.argv[1], "w") as fh:
 """
 
 
-def test_only_fock_check_loads_scipy(capsys, monkeypatch, tmp_path, graph_file, loop_file):
+def test_only_fock_check_loads_scipy(tmp_path, graph_file, loop_file):
     # one fresh interpreter: import, every other subcommand, then fock-check
     argvs = passing_argvs(tmp_path, graph_file, loop_file)
     fock_check = argvs.pop("fock-check")
-    # a realization whose completion takes null spaces (seen in process)
+    # a two-vertex realization from samples of a random system
     g, rng = two_vertex_example(), np.random.default_rng(1)
     s = random_system(g, rng, mmax=2)
     pts = [random_point(g, rng, max_norm=0.7) for _ in range(3)]
-    samples = write_json(tmp_path / "samples2.json", {
-        "points": [point_to_dict(p) for p in pts],
-        "values": [[[[z.real, z.imag] for z in row] for row in transfer_eval(s, p)]
-                   for p in pts],
-        "q1": list(s.q1), "q2": list(s.q2)})
+    samples = write_json(tmp_path / "samples2.json",
+                         samples_payload(pts, [transfer_eval(s, p) for p in pts], s.q1, s.q2))
     realize2 = ["realize", "--graph", graph_file, "--points", samples]
-    calls = []
-    null_space = realization._null_space
-    monkeypatch.setattr(realization, "_null_space", lambda a: calls.append(a) or null_space(a))
-    assert main(realize2) == 0 and calls
-    capsys.readouterr()
     order = list(argvs.values()) + [realize2, fock_check]
     result = tmp_path / "seen.json"
     r = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(result), json.dumps(order)],
