@@ -89,9 +89,8 @@ from .automorphism import (
     diagonal_unitary,
     identity_unitary,
     kernel_ideal_check,
+    mobius_alpha,
     pullback_evaluate,
-    tau_lambda_matrix,
-    two_vertex_alpha_lambda,
     unitary_from_dict,
     unitary_to_dict,
 )

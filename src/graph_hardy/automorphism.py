@@ -9,17 +9,12 @@ and P_v |-> P_v, computed with hardy_mul as the product of the edge
 images along each path term; composing with the Mobius involution of a
 central point gives the full automorphism group action used here.
 
-The two-vertex worked example (e: v -> w, f: w -> v, g: w -> w) has a
-one-parameter Mobius family alpha_lambda indexed by the loop weight.
-Its action on the generators, written in the Fock picture, is
-
-    T(e) = -(1 - |lambda|^2)^{1/2} sum_k (lambda S_g)^k S_e
-    T(f) = -S_f
-    T(g) =  (conj(lambda) P_w - S_g) sum_k (lambda S_g)^k
-
-and evaluating T at a dual point reproduces the closed-form Mobius
-matrix entries.  At lambda = 0 all three generators are negated,
-matching g_0 = -id.
+The Mobius automorphism alpha_gamma of a central point gamma, on any
+graph, is given by its generator images: mobius_alpha reads them off the
+defect operators of gamma as series in the loops at each vertex, and
+evaluating the image of S_e at a dual point gives the (r(e), e) entry of
+mobius_matrix up to the geometric tail of the truncation.  At gamma = 0
+every generator is negated, matching g_0 = -id.
 """
 
 from __future__ import annotations
@@ -30,7 +25,8 @@ from .graph_core import (GraphError, _complex_from_json, _complex_to_json, _path
                          path_range, two_vertex_example)
 from .dual_eval import evaluate_poly
 from .fock import HardyPoly, random_poly
-from .mobius import CentralPoint, _check_edge_support, _point_from_edge_support, mobius_matrix
+from .mobius import (CentralPoint, _check_edge_support, _defects, _point_from_edge_support,
+                     mobius_matrix)
 
 
 class BimoduleUnitary:
@@ -159,66 +155,52 @@ def pullback_evaluate(gamma, u, x, point):
 
 
 # ---------------------------------------------------------------------------
-# the two-vertex worked example
+# Mobius automorphisms
 
-def _check_two_vertex(g):
-    ref = two_vertex_example()
-    if g is None:
-        return ref
-    if g != ref:
-        raise GraphError("this construction is specific to the standard "
-                         "two-vertex graph (e: v->w, f: w->v, g: w->w)")
-    return g
+def mobius_alpha(gamma, N):
+    """Generator images of the Mobius automorphism alpha_gamma of the
+    central point gamma, exact through path length N: a dict edge name ->
+    HardyPoly, in edge order.
 
+    Reading g_gamma(eta*) = D_gamma (id - eta* G)^{-1} (G* - eta*) D_gamma*^{-1}
+    off mobius_matrix: eta* G is diagonal with the value of
+    L_v = sum over the loops l at v of gamma_l S_l at v, D_gamma is diagonal
+    (d_v), and D_gamma*^{-1} is the identity off the loops and mixes only
+    the loops at one vertex.  So an edge e into v that is not a loop goes to
 
-def two_vertex_alpha_lambda(lam, N, graph=None):
-    """Generator images (T(e), T(f), T(g)) of the Mobius automorphism of
-    the two-vertex example, truncated at path length N.
+        -d_v sum_k L_v^k S_e,
 
-    T(e) = -(1-|lam|^2)^{1/2} sum_{k<N} lam^k S_{g^k e}
-    T(f) = -S_f
-    T(g) = conj(lam) P_w - (1-|lam|^2) sum_{1<=j<=N} lam^{j-1} S_{g^j}
+    and a loop e at v goes to
 
-    The geometric tails are dropped; evaluating at a point with loop
-    weight c leaves a truncation error O(|lam c|^N).
+        d_v sum_k L_v^k sum_f D_gamma*^{-1}[f, e] (conj(gamma_f) P_v - S_f)
+
+    over the loops f at v.  Evaluating the image of e at a dual point gives
+    the (r(e), e) entry of mobius_matrix up to the tail of the series,
+    geometric in ||gamma|| ||eta||.  An edge into a vertex without loops
+    maps to -S_e exactly.  N < 0 raises ValueError.
     """
-    g = _check_two_vertex(graph)
-    lam = complex(lam)
-    if not abs(lam) < 1.0:  # NaN fails too
-        raise ValueError("|lambda| must be < 1")
     if N < 0:
         raise ValueError("truncation order N must be >= 0, got %d" % N)
-    root = np.sqrt(1.0 - abs(lam) ** 2)
-    te = {}
-    for k in range(N):
-        te[("g",) * k + ("e",)] = -root * lam ** k
-    tf = {("f",): -1.0}
-    tg = {"w": np.conj(lam)}
-    for j in range(1, N + 1):
-        tg[("g",) * j] = -(1.0 - abs(lam) ** 2) * lam ** (j - 1)
-    return HardyPoly(g, te), HardyPoly(g, tf), HardyPoly(g, tg)
-
-
-def tau_lambda_matrix(lam, point):
-    """Closed form of the two-vertex Mobius map: the nv x ne matrix whose
-    (r(e'), e') entries are the conjugated weights of the image point.
-
-    Columns e, f, g; with a, b, c the weights of the point,
-        row v:  (0, -conj(b), 0)
-        row w:  (-conj(a) sqrt(1-|lam|^2) / (1 - lam conj(c)),  0,
-                 (conj(lam) - conj(c)) / (1 - lam conj(c))).
-    """
-    g = _check_two_vertex(point.graph)
-    lam = complex(lam)
-    if not abs(lam) < 1.0:
-        raise ValueError("|lambda| must be < 1")
-    a, b, c = (point.weight("e"), point.weight("f"), point.weight("g"))
-    den = 1.0 - lam * np.conj(c)
-    M = np.zeros((2, 3), dtype=complex)
-    M[g.vindex["v"], g.eindex["f"]] = -np.conj(b)
-    M[g.vindex["w"], g.eindex["e"]] = -np.conj(a) * np.sqrt(1.0 - abs(lam) ** 2) / den
-    M[g.vindex["w"], g.eindex["g"]] = (np.conj(lam) - np.conj(c)) / den
-    return M
+    g = gamma.graph
+    _, d_vertex, _, inv_d_edge = _defects(gamma)
+    images = {}
+    for v in g.vertices:
+        d_v = d_vertex[g.vindex[v], g.vindex[v]]
+        loops = [e for e in g.loops() if g.dst[e] == v]
+        L = HardyPoly._of_paths(g, {(e,): gamma.weight(e) for e in loops})
+        powers = [HardyPoly.vertex(g, v)]  # L_v^k, k = 0..N, with disjoint keys
+        for _ in range(N):
+            powers.append(powers[-1] * L)
+        head = HardyPoly._of_paths(g, {p: c for x in powers[:N] for p, c in x.coeffs.items()})
+        for e in g.in_edges(v):
+            if e not in loops:
+                images[e] = head * HardyPoly.shift(g, e) * -d_v
+                continue
+            mix = {f: inv_d_edge[g.eindex[f], g.eindex[e]] for f in loops}
+            c = sum(np.conj(gamma.weight(f)) * a for f, a in mix.items())
+            shifts = HardyPoly._of_paths(g, {(f,): a for f, a in mix.items()})
+            images[e] = ((head + powers[N]) * c - head * shifts) * d_v
+    return {e.name: images[e.name] for e in g.edges}
 
 
 def kernel_ideal_check(samples, rng=None, n_multiples=10, tol=1e-13):
@@ -232,7 +214,10 @@ def kernel_ideal_check(samples, rng=None, n_multiples=10, tol=1e-13):
     """
     if not samples:
         raise ValueError("need at least one sample point")
-    g = _check_two_vertex(samples[0].graph)
+    g = samples[0].graph
+    if g != two_vertex_example():
+        raise GraphError("this check is specific to the standard two-vertex graph "
+                         "(e: v->w, f: w->v, g: w->w)")
     if rng is None:
         rng = np.random.default_rng(0)
     sg = HardyPoly.shift(g, "g")

@@ -18,9 +18,9 @@ realize finds the data infeasible; 2 on malformed input, a negative --N
 or a NaN or infinite JSON number included, with "input error: ..." on
 stderr and no report (argparse exits 2 too on a bad option, a --tol that
 is negative or not finite included); 3 when the numerics break down on
-valid input (ConditioningError, from realize, or from mobius and eval
---gamma at a central point next to the boundary).  These two failures
-print a report of only "command", "passed", "error" and "kind"
+valid input (ConditioningError, from realize, or from mobius, eval
+--gamma and autom-demo at a central point next to the boundary).  These
+two failures print a report of only "command", "passed", "error" and "kind"
 ("infeasible" or "conditioning").  Reports embed the worst residual
 observed and are byte-identical across runs for the same inputs;
 autom-demo draws its points from --seed, the only option that takes a
@@ -61,13 +61,13 @@ from .realization import (
     transfer_eval,
     validate_system,
 )
-from .mobius import central_from_dict, mobius_apply, mobius_colligation
+from .mobius import (CentralPoint, central_from_dict, mobius_apply, mobius_colligation,
+                     mobius_matrix)
 from .automorphism import (
     identity_unitary,
     kernel_ideal_check,
+    mobius_alpha,
     pullback_evaluate,
-    tau_lambda_matrix,
-    two_vertex_alpha_lambda,
     unitary_from_dict,
 )
 
@@ -245,16 +245,19 @@ def cmd_mobius(args, g, read):
 def cmd_autom_demo(args, g, read):
     g = two_vertex_example()
     lam = complex(args.lam)
+    if not abs(lam) < 1.0:  # NaN fails too
+        raise ValueError("|lambda| must be < 1")
+    gamma = CentralPoint(g, {"g": lam})
     rng = np.random.default_rng(args.seed)
-    alpha = two_vertex_alpha_lambda(lam, args.N, g)  # images of the edges e, f, g
+    images = mobius_alpha(gamma, args.N)
     worst = 0.0
     per_point = []
     pts = [random_point(g, rng, max_norm=0.7) for _ in range(args.npoints)]
     for pt in pts:
-        tau = tau_lambda_matrix(lam, pt)
-        dev = max(abs(evaluate_poly(t, pt)[g.vindex[e.dst], g.vindex[e.src]]
-                      - tau[g.vindex[e.dst], g.eindex[e.name]])
-                  for t, e in zip(alpha, g.edges))
+        moved = mobius_matrix(gamma, pt)
+        dev = max(abs(evaluate_poly(images[e.name], pt)[g.vindex[e.dst], g.vindex[e.src]]
+                      - moved[g.vindex[e.dst], g.eindex[e.name]])
+                  for e in g.edges)
         worst = max(worst, dev)
         per_point.append({"norm": pt.norm, "dev": dev})
     ideal = kernel_ideal_check(pts, rng=rng)

@@ -196,9 +196,13 @@ def _spec_norm(M):
     return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
-def _coisometry_gap(M):
-    """||M M* - id|| in the spectral norm."""
-    return _spec_norm(M @ M.conj().T - np.eye(M.shape[0]))
+def _block_gap(blk):
+    """(W, ||W||, ||blk||) of a vertex block, W = blk blk* - id; one eigvalsh
+    of the Hermitian W gives both, ||blk||^2 being 1 + its top eigenvalue."""
+    W = blk @ blk.conj().T - np.eye(len(blk))
+    lam = np.linalg.eigvalsh(W)
+    top = lam.max(initial=-1.0)  # -1 for a block without rows, whose norm is 0
+    return W, float(np.abs(lam).max(initial=0.0)), float(np.sqrt(max(0.0, 1.0 + top)))
 
 
 def validate_system(s, tol=1e-9):
@@ -206,18 +210,23 @@ def validate_system(s, tol=1e-9):
 
     Reports ||V V* - id|| (spectral norm), the three block identities
     id - A A* = B B*, C C* = id - D D*, A C* = -B D*, the per-vertex
-    coisometry residuals, and ||V* V - id|| for the unitary case.
+    coisometry residuals, and ||V* V - id|| for the unitary case.  V is
+    zero off its vertex blocks, so each norm is the largest over the
+    blocks: of ||W_v||, W_v = blk blk* - id; of the E2-slot corner of W_v
+    (cond11), of its E2-slot row off the corner (cond12: the rows of
+    A C* + B D* have disjoint supports) and of its fiber part (cond22).
     """
-    V = s._V
-    n1, n2 = len(s.q1), len(s.q2)
-    Am, Bm = V[:n2, :n1], V[:n2, n1:]
-    Cm, Dm = V[n2:, :n1], V[n2:, n1:]
-    co_res = _coisometry_gap(V)
-    iso_res = _spec_norm(V.conj().T @ V - np.eye(V.shape[1]))
-    cond11 = _spec_norm((np.eye(n2) - Am @ Am.conj().T) - Bm @ Bm.conj().T)
-    cond22 = _spec_norm(Cm @ Cm.conj().T - (np.eye(Cm.shape[0]) - Dm @ Dm.conj().T))
-    cond12 = _spec_norm(Am @ Cm.conj().T + Bm @ Dm.conj().T)
-    blocks = {v: _coisometry_gap(s.vertex_block(v)) for v in s.graph.vertices}
+    blocks, iso_res, cond11, cond12, cond22 = {}, 0.0, 0.0, 0.0, 0.0
+    for v in s.graph.vertices:
+        blk = s.vertex_block(v)
+        W, blocks[v], _ = _block_gap(blk)
+        iso_res = max(iso_res, _block_gap(blk.conj().T)[1])
+        top = int(v in s._out)  # the E2 slot, if any, is the first row of the block
+        if top:
+            cond11 = max(cond11, float(abs(W[0, 0])))
+            cond12 = max(cond12, float(np.linalg.norm(W[0, 1:])))
+        cond22 = max(cond22, _block_gap(blk[top:])[1])
+    co_res = max(blocks.values(), default=0.0)
     return {
         "tol": tol,
         "coisometry_residual": co_res,
@@ -550,8 +559,8 @@ def realize_from_samples(points, values, q1, q2, tol=1e-9):
         P, _, Qh = np.linalg.svd(Ymat @ Umat.conj().T, full_matrices=False)
         n = min(cod, dom)
         V[np.ix_(rows, cols)] = blk = P[:, :n] @ Qh[:n]
-        co_res = max(co_res, _coisometry_gap(blk))
-        norm = max(norm, _spec_norm(blk))
+        _, gap, blk_norm = _block_gap(blk)
+        co_res, norm = max(co_res, gap), max(norm, blk_norm)
 
     interp = float(np.abs(_transfer_values(system, weights) - Z).max(initial=0.0))
     report = {

@@ -22,9 +22,11 @@ from graph_hardy import (
     kernel_ideal_check,
     make_central_point,
     make_dual_point,
+    mobius_alpha,
     mobius_apply,
     mobius_colligation,
     mobius_congruence_matrix,
+    mobius_matrix,
     pick_feasibility,
     random_point,
     random_poly,
@@ -32,9 +34,7 @@ from graph_hardy import (
     realize_from_samples,
     schur_class_check,
     series_residual,
-    tau_lambda_matrix,
     transfer_eval,
-    two_vertex_alpha_lambda,
     two_vertex_example,
     validate_system,
     zero_point,
@@ -182,25 +182,25 @@ def test_6_mobius_identities(capsys):
 
 def test_7_two_vertex_automorphism(capsys):
     # truncated automorphism images of the three generators, evaluated at
-    # random points, against the closed-form matrix; the truncation error is
-    # covered by the geometric tail of the loop series
+    # random points, against the Mobius matrix of the defect-operator
+    # construction; the truncation error is covered by the geometric tail
+    # of the loop series
     t0 = time.monotonic()
     g = two_vertex_example()
     rng = np.random.default_rng(70)
-    iv, iw = g.vindex["v"], g.vindex["w"]
     worst = 0.0
     tail_ok = True
     for lam in (0.0, 0.3, 0.5 + 0.2j):
-        te, tf, tg = two_vertex_alpha_lambda(lam, 25)
-        assert tf.coeffs == {("f",): -1.0}
+        gamma = make_central_point(g, {"g": lam})
+        images = mobius_alpha(gamma, 25)
+        assert images["f"].coeffs == {("f",): -1.0}
         for _ in range(10):
             p = random_point(g, rng, max_norm=0.8)
             lr = abs(lam) * p.norm
             env = (lr ** 25) / (1.0 - lr) if lr > 0 else 0.0
-            tau = tau_lambda_matrix(lam, p)
-            devs = (abs(evaluate_poly(te, p)[iw, iv] - tau[iw, g.eindex["e"]]),
-                    abs(evaluate_poly(tf, p)[iv, iw] - tau[iv, g.eindex["f"]]),
-                    abs(evaluate_poly(tg, p)[iw, iw] - tau[iw, g.eindex["g"]]))
+            M = mobius_matrix(gamma, p)
+            devs = [abs(evaluate_poly(images[e.name], p)[g.vindex[e.dst], g.vindex[e.src]]
+                        - M[g.vindex[e.dst], g.eindex[e.name]]) for e in g.edges]
             worst = max(worst, *devs)
             tail_ok = tail_ok and all(d <= env + 1e-12 for d in devs)
     ok = tail_ok and worst < 1e-7

@@ -1,4 +1,4 @@
-"""Gauge unitaries, induced automorphisms, and the two-vertex family."""
+"""Gauge unitaries, induced automorphisms, and the Mobius automorphisms."""
 
 import numpy as np
 import pytest
@@ -11,18 +11,18 @@ from graph_hardy import (
     HardyPoly,
     apply_alpha_u,
     diagonal_unitary,
+    dual_norm,
     evaluate_poly,
     identity_unitary,
     kernel_ideal_check,
     make_central_point,
     make_dual_point,
+    mobius_alpha,
     mobius_apply,
     mobius_matrix,
     pullback_evaluate,
     random_point,
     random_poly,
-    tau_lambda_matrix,
-    two_vertex_alpha_lambda,
     two_vertex_example,
     unitary_from_dict,
     unitary_to_dict,
@@ -192,16 +192,69 @@ def test_pullback_gauge_only_is_inversion_composed():
         np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
 
+# ---------------------------------------------------------------------------
+# Mobius automorphisms: the two-vertex closed forms are the oracles
+
+def two_vertex_alpha(lam, N):
+    """Closed form of the generator images (T(e), T(f), T(g)) of the Mobius
+    automorphism of the central point lam S_g on the two-vertex graph,
+    exact through path length N:
+
+        T(e) = -(1 - |lam|^2)^{1/2} sum_{k<N} lam^k S_{g^k e}
+        T(f) = -S_f
+        T(g) = conj(lam) P_w - (1 - |lam|^2) sum_{1<=j<=N} lam^{j-1} S_{g^j}
+    """
+    g = two_vertex_example()
+    root = np.sqrt(1.0 - abs(lam) ** 2)
+    te = {("g",) * k + ("e",): -root * lam ** k for k in range(N)}
+    tg = {"w": np.conj(lam)}
+    for j in range(1, N + 1):
+        tg[("g",) * j] = -(1.0 - abs(lam) ** 2) * lam ** (j - 1)
+    return {"e": HardyPoly(g, te), "f": HardyPoly(g, {("f",): -1.0}), "g": HardyPoly(g, tg)}
+
+
+def two_vertex_tau(lam, point):
+    """Closed form of the two-vertex Mobius matrix: with a, b, c the weights
+    of the point, columns e, f, g,
+        row v:  (0, -conj(b), 0)
+        row w:  (-conj(a) sqrt(1-|lam|^2) / (1 - lam conj(c)),  0,
+                 (conj(lam) - conj(c)) / (1 - lam conj(c)))."""
+    g = point.graph
+    a, b, c = (point.weight("e"), point.weight("f"), point.weight("g"))
+    den = 1.0 - lam * np.conj(c)
+    M = np.zeros((2, 3), dtype=complex)
+    M[g.vindex["v"], g.eindex["f"]] = -np.conj(b)
+    M[g.vindex["w"], g.eindex["e"]] = -np.conj(a) * np.sqrt(1.0 - abs(lam) ** 2) / den
+    M[g.vindex["w"], g.eindex["g"]] = (np.conj(lam) - np.conj(c)) / den
+    return M
+
+
+def loopy_graph(rng):
+    """Two loops at u and one at v, two or three parallel edges u -> v, an
+    edge back, and a sink w, with a seeded central point of norm 0.6."""
+    edges = [("p", "u", "u"), ("q", "u", "u"), ("r", "v", "v"), ("h", "v", "u"),
+             ("s", "u", "w")]
+    edges += [("e%d" % i, "u", "v") for i in range(int(rng.integers(2, 4)))]
+    g = Graph(["u", "v", "w"], edges)
+    w = dict(zip("pqr", rng.standard_normal(3) + 1j * rng.standard_normal(3)))
+    scale = 0.6 / dual_norm(g, w)
+    return g, make_central_point(g, {e: scale * z for e, z in w.items()})
+
+
 def test_alpha_lambda_zero_negates_generators():
-    te, tf, tg = two_vertex_alpha_lambda(0.0, 10)
-    assert te.coeffs == {("e",): -1.0}
-    assert tf.coeffs == {("f",): -1.0}
-    assert tg.coeffs == {("g",): -1.0}
+    # g_0 = -id, so at gamma = 0 every generator is negated, on every graph
+    rng = np.random.default_rng(19)
+    for g in [two_vertex_example(), loopy_graph(rng)[0]] + [random_graph(rng) for _ in range(5)]:
+        images = mobius_alpha(make_central_point(g, {}), 10)
+        assert list(images) == [e.name for e in g.edges]
+        for e, x in images.items():
+            assert x.coeffs == {(e,): -1.0}
 
 
 def test_alpha_lambda_coefficients_frozen():
-    lam = 0.3
-    te, tf, tg = two_vertex_alpha_lambda(lam, 3)
+    g = two_vertex_example()
+    images = mobius_alpha(make_central_point(g, {"g": 0.3}), 3)
+    te, tf, tg = images["e"], images["f"], images["g"]
     root = np.sqrt(1.0 - 0.09)
     assert abs(te.coeff(("e",)) + root) < 1e-15
     assert abs(te.coeff(("g", "e")) + root * 0.3) < 1e-15
@@ -213,15 +266,26 @@ def test_alpha_lambda_coefficients_frozen():
     assert abs(tg.coeff(("g", "g", "g")) + 0.91 * 0.09) < 1e-15
 
 
+def test_mobius_alpha_matches_the_two_vertex_closed_form():
+    g = two_vertex_example()
+    for lam in (0.0, 0.3, 0.5 + 0.2j, -0.7j):
+        for N in (1, 5, 25):
+            got = mobius_alpha(make_central_point(g, {"g": lam}), N)
+            want = two_vertex_alpha(lam, N)
+            for e in "efg":
+                assert set(got[e].coeffs) == set(want[e].coeffs), (lam, N, e)
+                assert all(abs(got[e].coeff(p) - c) < 1e-15
+                           for p, c in want[e].coeffs.items()), (lam, N, e)
+
+
 def test_alpha_lambda_guards():
-    with pytest.raises(ValueError):
-        two_vertex_alpha_lambda(1.0, 5)
+    # the closed forms live on the two-vertex graph only; mobius_alpha and
+    # the centers it takes live on any graph, kernel_ideal_check does not
     other = Graph(["u"], [("z", "u", "u")])
-    with pytest.raises(GraphError):
-        two_vertex_alpha_lambda(0.3, 5, other)
-    p_other = make_dual_point(other, {"z": 0.1})
-    with pytest.raises(GraphError):
-        tau_lambda_matrix(0.3, p_other)
+    images = mobius_alpha(make_central_point(other, {"z": 0.3}), 2)
+    assert set(images["z"].coeffs) == {"u", ("z",), ("z", "z")}
+    with pytest.raises(GraphError, match="two-vertex graph"):
+        kernel_ideal_check([make_dual_point(other, {"z": 0.1})])
 
 
 def test_tau_matches_mobius_machinery():
@@ -233,21 +297,63 @@ def test_tau_matches_mobius_machinery():
         for _ in range(4):
             p = random_point(g, rng, max_norm=0.8)
             np.testing.assert_allclose(
-                mobius_matrix(gamma, p), tau_lambda_matrix(lam, p), atol=1e-13)
+                mobius_matrix(gamma, p), two_vertex_tau(lam, p), atol=1e-13)
 
 
 def test_truncated_generators_match_tau():
     g = two_vertex_example()
     lam = 0.5 + 0.2j
-    te, tf, tg = two_vertex_alpha_lambda(lam, 30)
+    images = mobius_alpha(make_central_point(g, {"g": lam}), 30)
     rng = np.random.default_rng(13)
-    iv, iw = g.vindex["v"], g.vindex["w"]
     for _ in range(4):
         p = random_point(g, rng, max_norm=0.7)
-        tau = tau_lambda_matrix(lam, p)
-        assert abs(evaluate_poly(te, p)[iw, iv] - tau[iw, g.eindex["e"]]) < 1e-9
-        assert abs(evaluate_poly(tf, p)[iv, iw] - tau[iv, g.eindex["f"]]) < 1e-9
-        assert abs(evaluate_poly(tg, p)[iw, iw] - tau[iw, g.eindex["g"]]) < 1e-9
+        tau = two_vertex_tau(lam, p)
+        for e in g.edges:
+            value = evaluate_poly(images[e.name], p)[g.vindex[e.dst], g.vindex[e.src]]
+            assert abs(value - tau[g.vindex[e.dst], g.eindex[e.name]]) < 1e-9
+
+
+@pytest.mark.parametrize("N", [8, 12])
+def test_mobius_alpha_matches_mobius_matrix_on_loopy_graphs(N):
+    # the images of S_e truncated at N evaluate to the (r(e), e) entry of
+    # mobius_matrix up to the tail of the loop series: with r the largest
+    # |L_v| at the point, that tail is at most
+    # ||D_gamma*^{-1}|| (||gamma|| + ||eta||) r^N / (1 - r)
+    worst_ratio = 0.0
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        g, gamma = loopy_graph(rng)
+        images = mobius_alpha(gamma, N)
+        inv_norm = 1.0 / np.sqrt(1.0 - gamma.norm ** 2)
+        for _ in range(3):
+            p = random_point(g, rng, min_norm=0.5, max_norm=0.7)
+            M = mobius_matrix(gamma, p)
+            r = max(abs(np.conj(p.weight("p")) * gamma.weight("p")
+                        + np.conj(p.weight("q")) * gamma.weight("q")),
+                    abs(np.conj(p.weight("r")) * gamma.weight("r")))
+            env = inv_norm * (gamma.norm + p.norm) * r ** N / (1.0 - r)
+            for e in g.edges:
+                value = evaluate_poly(images[e.name], p)[g.vindex[e.dst], g.vindex[e.src]]
+                gap = abs(value - M[g.vindex[e.dst], g.eindex[e.name]])
+                assert gap <= env + 1e-13, (seed, e.name, gap, env)
+                worst_ratio = max(worst_ratio, gap / env)
+    assert worst_ratio > 0.1  # the envelope is close to the truncation error
+
+
+def test_mobius_alpha_edges_into_loop_free_vertices_are_negated():
+    # d_v = 1 and L_v = 0 at a vertex without loops: -S_e exactly, whatever gamma
+    checked = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, ensure_loop=True)
+        z = rng.standard_normal(len(g.loops())) + 1j * rng.standard_normal(len(g.loops()))
+        gamma = make_central_point(g, dict(zip(g.loops(), 0.5 * z / np.abs(z).sum())))
+        images = mobius_alpha(gamma, 3)
+        for e in g.edges:
+            if not any(g.dst[ell] == e.dst for ell in g.loops()):
+                assert images[e.name].coeffs == {(e.name,): -1.0}, seed
+                checked += 1
+    assert checked >= 20
 
 
 def test_kernel_ideal_vanishes():
@@ -278,17 +384,15 @@ def test_unitary_json_roundtrip():
 
 @pytest.mark.parametrize("lam", [float("nan"), complex("nan+0.1j"), float("inf"), 1.0, 1.5])
 def test_lambda_outside_the_open_disc_is_rejected(lam):
-    # NaN fails abs(lam) >= 1 as well as abs(lam) < 1, so it needs its own check
-    p = make_dual_point(two_vertex_example(), {"g": 0.3})
-    with pytest.raises(ValueError, match=r"\|lambda\| must be < 1"):
-        two_vertex_alpha_lambda(lam, 5)
-    with pytest.raises(ValueError, match=r"\|lambda\| must be < 1"):
-        tau_lambda_matrix(lam, p)
+    # NaN fails abs(lam) >= 1 as well as abs(lam) < 1, so the check is
+    # written to fail it; a center outside the open ball has no automorphism
+    with pytest.raises(GraphError, match=r"must be < 1"):
+        mobius_alpha(make_central_point(two_vertex_example(), {"g": lam}), 5)
 
 
 def test_alpha_lambda_rejects_negative_truncation_order():
     with pytest.raises(ValueError, match=">= 0"):
-        two_vertex_alpha_lambda(0.5, -2)
+        mobius_alpha(make_central_point(two_vertex_example(), {"g": 0.5}), -2)
 
 
 def test_bimodule_unitary_gate():

@@ -494,6 +494,18 @@ def test_autom_demo_lambda_outside_the_disc_is_input_error(capsys, lam, code):
         assert rep["passed"] and rep["lambda"] == [0.5, 0.0] and err == ""
 
 
+def test_autom_demo_center_next_to_the_boundary_is_conditioning(capsys):
+    # autom-demo builds its automorphism from the defect operators, as
+    # mobius does: inside the disc but numerically singular is exit 3
+    code, rep, err = run_cli(capsys, ["autom-demo", "--npoints", "2",
+                                      "--lam", "0.9999999999999999"])
+    assert (code, err) == (3, "")
+    assert rep["kind"] == "conditioning" and "smallest eigenvalue" in rep["error"]
+    code, rep, err = run_cli(capsys, ["autom-demo", "--npoints", "2",
+                                      "--lam", "0.99999999999999"])
+    assert (code, err) == (0, "") and rep["worst_residual"] < 1e-12
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
 @pytest.mark.parametrize("name", sorted(TOL_COMMANDS))
 def test_bad_tolerance_is_rejected_by_the_parser(capsys, tmp_path, graph_file, loop_file,

@@ -179,6 +179,61 @@ def test_random_systems_validate():
         assert max(rep["block_residuals"].values()) < 1e-12
 
 
+def _validate_by_global_formulas(s):
+    """validate_system's fields from SVDs of the assembled V and of its
+    A, B, C, D slices, as the identities are stated."""
+    def norm2(M):
+        return float(np.linalg.svd(M, compute_uv=False)[0]) if M.size else 0.0
+    V = s.assemble()
+    n1, n2 = len(s.q1), len(s.q2)
+    Am, Bm, Cm, Dm = V[:n2, :n1], V[:n2, n1:], V[n2:, :n1], V[n2:, n1:]
+    co = norm2(V @ V.conj().T - np.eye(V.shape[0]))
+    return {
+        "coisometry_residual": co,
+        "isometry_residual": norm2(V.conj().T @ V - np.eye(V.shape[1])),
+        "cond11": norm2(np.eye(n2) - Am @ Am.conj().T - Bm @ Bm.conj().T),
+        "cond22": norm2(Cm @ Cm.conj().T - (np.eye(len(Cm)) - Dm @ Dm.conj().T)),
+        "cond12": norm2(Am @ Cm.conj().T + Bm @ Dm.conj().T),
+        "block_residuals": {v: norm2(s.vertex_block(v) @ s.vertex_block(v).conj().T
+                                     - np.eye(len(s.vertex_block(v))))
+                            for v in s.graph.vertices},
+        "passed": bool(co < 1e-9),  # validate_system's default tol
+    }
+
+
+def _assert_validation_matches_global_formulas(s, label):
+    got, want = validate_system(s), _validate_by_global_formulas(s)
+    assert got["passed"] == want["passed"], label
+    for key in ("coisometry_residual", "isometry_residual", "cond11", "cond22", "cond12"):
+        assert abs(got[key] - want[key]) <= 1e-14 * (1.0 + want[key]), (label, key)
+    for v, r in want["block_residuals"].items():
+        assert abs(got["block_residuals"][v] - r) <= 1e-14 * (1.0 + r), (label, v)
+    return got["passed"]
+
+
+def test_validate_system_reads_the_vertex_blocks():
+    # the per-block norms against SVDs of the whole V: contractive corpus
+    # realizations, random coisometric systems (on random graphs with
+    # assorted q1, q2) and the same systems with a perturbed or scaled V
+    verdicts = []
+    for seed in range(100, 110):
+        g, pts, vals = corpus_samples(seed, 4)
+        s, _ = realize_from_samples(pts, vals, list(g.vertices), list(g.vertices))
+        verdicts.append(_assert_validation_matches_global_formulas(s, seed))
+    rng = np.random.default_rng(23)
+    for i in range(12):
+        g = two_vertex_example() if i < 2 else random_graph(rng, 4, 6)
+        vs = g.vertices
+        q1, q2 = [(vs, vs), (vs, vs[:1]), (vs[-1:], vs)][i % 3]
+        s = random_system(g, rng, q1=q1, q2=q2)
+        verdicts.append(_assert_validation_matches_global_formulas(s, i))
+        for factor in (1.0 + 1e-6, 0.5):
+            t = _system_from_vertex_blocks(g, s.m, s.q1, s.q2,
+                                           {v: factor * s.vertex_block(v) for v in vs})
+            verdicts.append(_assert_validation_matches_global_formulas(t, (i, factor)))
+    assert sum(verdicts) >= 10 and len(verdicts) - sum(verdicts) >= 10
+
+
 def test_transfer_matches_taylor_polynomial():
     # independent oracle: the partial sum of the series equals evaluating
     # the extracted Taylor polynomial
