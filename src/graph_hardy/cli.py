@@ -61,8 +61,8 @@ from .realization import (
     transfer_eval,
     validate_system,
 )
-from .mobius import (CentralPoint, central_from_dict, mobius_apply, mobius_colligation,
-                     mobius_matrix)
+from .mobius import (CentralPoint, _mobius_stack, _point_from_edge_support, central_from_dict,
+                     mobius_apply, mobius_colligation)
 from .automorphism import (
     identity_unitary,
     kernel_ideal_check,
@@ -222,14 +222,15 @@ def cmd_realize(args, g, read):
 def cmd_mobius(args, g, read):
     gamma = central_from_dict(g, read("gamma"))
     _, coll = mobius_colligation(gamma)
-    fixed_dev = _max_abs(mobius_apply(gamma, zero_point(g)).weights - gamma.weights)
-    zero_dev = _max_abs(mobius_apply(gamma, gamma).weights)
+    pts = [zero_point(g), gamma] + ([point_from_dict(g, read("point"))] if args.point else [])
+    images = [_point_from_edge_support(g, M, p) for M, p in zip(_mobius_stack(gamma, pts), pts)]
+    fixed_dev = _max_abs(images[0].weights - gamma.weights)
+    zero_dev = _max_abs(images[1].weights)
     report = {"colligation": coll, "g_at_zero_vs_gamma": fixed_dev,
               "g_at_gamma_vs_zero": zero_dev}
     worst = max(coll["coisometry_residual"], coll["isometry_residual"], fixed_dev, zero_dev)
     if args.point:
-        point = point_from_dict(g, read("point"))
-        moved = mobius_apply(gamma, point)
+        point, moved = pts[2], images[2]
         invol = _max_abs(mobius_apply(gamma, moved).weights - point.weights)
         report.update(image_weights={e.name: _complex_to_json(w)
                                      for e, w in zip(g.edges, moved.weights)},
@@ -253,8 +254,7 @@ def cmd_autom_demo(args, g, read):
     worst = 0.0
     per_point = []
     pts = [random_point(g, rng, max_norm=0.7) for _ in range(args.npoints)]
-    for pt in pts:
-        moved = mobius_matrix(gamma, pt)
+    for pt, moved in zip(pts, _mobius_stack(gamma, pts)):
         dev = max(abs(evaluate_poly(images[e.name], pt)[g.vindex[e.dst], g.vindex[e.src]]
                       - moved[g.vindex[e.dst], g.eindex[e.name]])
                   for e in g.edges)

@@ -68,10 +68,9 @@ class DualPoint:
 
     def matrix(self):
         """ne x nv matrix with weight(e) at (e, r(e)); columns are disjoint."""
-        g = self.graph
-        m = np.zeros((g.ne, g.nv), dtype=complex)
-        for i, e in enumerate(g.edges):
-            m[i, g.vindex[e.dst]] = self.weights[i]
+        rows, cols = _edge_support(self.graph)
+        m = np.zeros((self.graph.ne, self.graph.nv), dtype=complex)
+        m[cols, rows] = self.weights
         return m
 
     def adjoint(self):
@@ -83,6 +82,11 @@ class DualPoint:
             self.norm,
             ", ".join("%s=%.3g%+.3gj" % (e.name, w.real, w.imag)
                       for e, w in zip(self.graph.edges, self.weights)))
+
+
+def _edge_support(g):
+    """(rows, cols) of the entries (r(e), e) of an nv x ne matrix."""
+    return np.array([g.vindex[e.dst] for e in g.edges], dtype=int), np.arange(g.ne)
 
 
 def dual_norm(g, weights):

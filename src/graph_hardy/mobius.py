@@ -30,7 +30,7 @@ import numpy as np
 
 from .graph_core import (ConditioningError, GraphError, _complex_from_json, _complex_to_json,
                          _json_object)
-from .dual_eval import BoundaryError, DualPoint, _resolvent_stack, _theta_stack
+from .dual_eval import BoundaryError, DualPoint, _edge_support, _resolvent_stack, _theta_stack
 from .pick_kernel import StructuralError, _kernel
 
 
@@ -93,26 +93,26 @@ def _defects(gamma):
     return G, d_vertex, d_edge, inv_d_edge
 
 
-def mobius_matrix(gamma, point):
-    """The full nv x ne matrix of g_gamma(eta*).
-
-    Supported, for each edge e, at (r(e), e); anything off that support
-    beyond 1e-12 relative is a structural error.
-    """
+def _mobius_stack(gamma, points):
+    """The (k, nv, ne) stack of g_gamma(eta_i*), from one _defects and one
+    batched solve.  Each image is supported, for each edge e, at (r(e), e);
+    anything off that support beyond 1e-12 relative is a StructuralError."""
     g = gamma.graph
-    if point.graph != g:
+    if any(p.graph != g for p in points):
         raise GraphError("point and center live on different graphs")
     G, d_vertex, _, inv_d_edge = _defects(gamma)
-    eta_adj = point.adjoint()                     # nv x ne
+    eta_adj = np.array([p.adjoint() for p in points]).reshape(len(points), g.nv, g.ne)
     core = np.linalg.solve(np.eye(g.nv) - eta_adj @ G, G.conj().T - eta_adj)
     M = d_vertex @ core @ inv_d_edge
-    _check_edge_support(g, M, "Mobius image")
+    for image in M:
+        _check_edge_support(g, image, "Mobius image")
     return M
 
 
-def _edge_support(g):
-    """(rows, cols) of the entries (r(e), e) of an nv x ne matrix."""
-    return np.array([g.vindex[e.dst] for e in g.edges], dtype=int), np.arange(g.ne)
+def mobius_matrix(gamma, point):
+    """The full nv x ne matrix of g_gamma(eta*), supported at the entries
+    (r(e), e); the one-point case of _mobius_stack."""
+    return _mobius_stack(gamma, [point])[0]
 
 
 def _check_edge_support(g, M, what):
@@ -161,6 +161,7 @@ def mobius_congruence_matrix(gamma, points):
     with z'_i = g_gamma applied to z_i.  Completely positive for central
     gamma."""
     g = gamma.graph
-    moved = [mobius_apply(gamma, p) for p in points]
+    moved = [_point_from_edge_support(g, M, p)
+             for M, p in zip(_mobius_stack(gamma, points), points)]
     theta = _theta_stack(g, moved, moved)
     return _kernel(g, (np.eye(g.nv) - theta) @ _resolvent_stack(g, points, points))

@@ -28,8 +28,10 @@ sum over the vertices.)
 
 A CpMapMatrix is stored as exactly these blocks, one per vertex.  All
 kernels come from one builder: one batched solve gives every R_ij, and
-for each vertex u the stacked products (L_i diag(R_ij delta_u)) L_j^*
-are written straight into Ch_u.
+for each vertex u one stacked matmul (k GEMMs) writes every
+(L_i diag(R_ij delta_u)) L_j^* straight into Ch_u.  An entry can differ
+from the per-pair products by a few eps * max|R| (1 + sum of max|L|^2
+over the target stacks), as the GEMM sums in its own order.
 """
 
 from __future__ import annotations
@@ -90,24 +92,28 @@ def _kernel(g, R, plus=None, minus=None):
     plus, M = minus are (k, nv, nv) target stacks.  plus=None stands for
     the identity, minus=None drops the second term.
 
-    For each vertex u the stacked products (L_i D_ij(delta_u)) L_j^* go
-    straight into its Choi block; this association rounds exactly like
-    the per-pair formula.
+    For each vertex u, X[j, (i, p), r] = L_i[p, r] R_ij[r, u] is formed
+    elementwise, and one stacked product X @ L^* (k GEMMs of shape
+    (k nv x nv) (nv x nv)) is written, transposed, straight into the view
+    Ch_u[i, p, j, q].  Only one vertex's X is alive at a time.
     """
     k, nv = R.shape[0], g.nv
-    choi = np.empty((nv, k * nv, k * nv), dtype=complex)
-    D = np.zeros((k, k, nv, nv), dtype=complex)
+    choi = np.zeros((nv, k * nv, k * nv), dtype=complex)
     idx = np.arange(nv)
 
-    def term(L):
-        return (L[:, None] @ D) @ L.conj().transpose(0, 2, 1)[None]
+    def term(L, u):
+        X = np.multiply(L[None], R[:, :, None, :, u].transpose(1, 0, 2, 3), order="C")
+        Y = X.reshape(k, k * nv, nv) @ L.conj().transpose(0, 2, 1)
+        return Y.reshape(k, k, nv, nv).transpose(1, 2, 0, 3)
 
     for u in range(nv):
-        D[:, :, idx, idx] = R[:, :, :, u]
-        block = D if plus is None else term(plus)
+        view = choi[u].reshape(k, nv, k, nv)
+        if plus is None:
+            view[:, idx, :, idx] = R[:, :, :, u].transpose(2, 0, 1)
+        else:
+            view[...] = term(plus, u)
         if minus is not None:
-            block = block - term(minus)
-        choi[u] = block.transpose(0, 2, 1, 3).reshape(k * nv, k * nv)
+            view -= term(minus, u)
     return CpMapMatrix(g, choi)
 
 

@@ -27,8 +27,9 @@ from graph_hardy import (
     two_vertex_example,
     zero_point,
 )
+from graph_hardy.dual_eval import _resolvent_stack, _theta_stack
 from graph_hardy.mobius import _check_edge_support
-from graph_hardy.pick_kernel import StructuralError
+from graph_hardy.pick_kernel import StructuralError, _kernel
 from conftest import random_graph
 
 
@@ -138,12 +139,34 @@ def test_congruence_kernel_cp():
     assert rep["worst_min_eig"] >= -1e-9
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_congruence_kernel_is_bitwise_the_pointwise_one(seed):
+    # the points move as one stack; each image equals mobius_apply's bit
+    # for bit, and so does the kernel built from them
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, ensure_loop=True) if seed else two_vertex_example()
+    raw = {e: rng.standard_normal() + 1j * rng.standard_normal() for e in g.loops()}
+    gamma = make_central_point(g, {e: w * 0.6 / dual_norm(g, raw) for e, w in raw.items()})
+    pts = [random_point(g, rng, max_norm=0.8) for _ in range(7)]
+    moved = [mobius_apply(gamma, p) for p in pts]
+    theta = _theta_stack(g, moved, moved)
+    want = _kernel(g, (np.eye(g.nv) - theta) @ _resolvent_stack(g, pts, pts))
+    np.testing.assert_array_equal(mobius_congruence_matrix(gamma, pts).choi, want.choi)
+
+
 def test_graph_mismatch():
     g = two_vertex_example()
     gamma = make_central_point(loop_graph(), {"z": 0.2})
     p = make_dual_point(g, {"g": 0.1})
     with pytest.raises(GraphError):
         mobius_matrix(gamma, p)
+    with pytest.raises(GraphError):
+        mobius_congruence_matrix(gamma, [p])
+    # one stray point among points of gamma's own graph
+    own = [make_dual_point(loop_graph(), {"z": w}) for w in (0.1, -0.3j)]
+    assert mobius_congruence_matrix(gamma, own).k == 2
+    with pytest.raises(GraphError):
+        mobius_congruence_matrix(gamma, own + [p])
 
 
 def test_central_json_roundtrip():

@@ -1,5 +1,6 @@
 """Pick and Schur kernels and the per-vertex Choi positivity test."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -88,7 +89,7 @@ def test_cpmapmatrix_rejects_bad_shape():
 def test_builders_match_per_pair_formula(graph):
     # seeds 1, 4, 28, 38 of conftest.random_graph give parallel edges (a
     # class of three at 38) and a sink, besides the loops the Mobius
-    # congruence kernel needs
+    # congruence kernel needs; k = 1 and k != nv check the block layout
     if graph == "two_vertex":
         g = two_vertex_example()
     elif graph == "loop":
@@ -97,8 +98,13 @@ def test_builders_match_per_pair_formula(graph):
         g = random_graph(np.random.default_rng(graph), ensure_loop=True)
         assert max(Counter((e.src, e.dst) for e in g.edges).values()) > 1
         assert any(not g.out_edges(v) for v in g.vertices)
+    for k in (1, 3, 9):
+        _assert_builders_match_per_pair_formula(g, k)
+
+
+def _assert_builders_match_per_pair_formula(g, k):
     rng = np.random.default_rng(5)
-    k, nv = 3, g.nv
+    nv = g.nv
     pts = [random_point(g, rng, max_norm=0.8) for _ in range(k)]
 
     def targets(scale):
@@ -137,6 +143,59 @@ def test_builders_match_per_pair_formula(graph):
                             want[u, i * nv + p, j * nv + q] = block[p, q]
         got = np.array([m.choi_block(u) for u in range(nv)])
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("graph", ["loop", 4])
+def test_cancelling_kernel_is_rounding_of_its_terms(graph):
+    # unimodular constant values c I make R_ij - c R_ij conj(c) vanish up
+    # to rounding, so the Choi blocks are ~0 and a deviation relative to
+    # their own size means nothing; it is measured against the size of
+    # the terms, max|R| (1 + sum over target stacks of max|L|^2)
+    g = loop_graph() if graph == "loop" else random_graph(np.random.default_rng(graph))
+    rng = np.random.default_rng(17)
+    k, nv = 12, g.nv
+    pts = [random_point(g, rng, max_norm=0.9) for _ in range(k)]
+    c = np.exp(0.7j)
+    m = schur_kernel_matrix(pts, [c * np.eye(nv)] * k)
+    want = np.zeros((nv, k * nv, k * nv), dtype=complex)
+    size = 0.0
+    for i in range(k):
+        for j in range(k):
+            R = resolvent_matrix(pts[i], pts[j])
+            size = max(size, np.abs(R).max())
+            for u in range(nv):
+                D = np.diag(R[:, u])
+                want[u, i * nv:(i + 1) * nv, j * nv:(j + 1) * nv] = (
+                    D - (c * np.eye(nv)) @ D @ (c * np.eye(nv)).conj().T)
+    size *= 1.0 + abs(c) ** 2
+    assert np.abs(want).max() <= 1e-15 * size
+    assert np.abs(m.choi - want).max() <= 1e-15 * size
+
+
+@pytest.mark.parametrize("builder", ["schur", "pick"])
+def test_kernel_build_memory_is_bounded_by_the_choi_array(builder):
+    # a builder that held a (k, k, nv, nv, nv) tensor or several k^2 nv^2
+    # temporaries at once would show here; at nv = 5, k = 60 the Choi
+    # array is 7.2 MB and the peak stays near 1.6 times that
+    names = ["v0", "v1", "v2", "v3", "v4"]
+    g = Graph(names, [("c%d" % i, v, names[(i + 1) % 5]) for i, v in enumerate(names)]
+              + [("z", "v0", "v0"), ("y", "v2", "v4")])
+    rng = np.random.default_rng(3)
+    k, nv = 60, g.nv
+    pts = [random_point(g, rng, max_norm=0.8) for _ in range(k)]
+    Z = [0.3 * (rng.standard_normal((nv, nv)) + 1j * rng.standard_normal((nv, nv)))
+         for _ in range(k)]
+    tracemalloc.start()
+    try:
+        if builder == "schur":
+            m = schur_kernel_matrix(pts, Z)
+        else:
+            m = pick_map_matrix(pts, [np.eye(nv)] * k, Z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.choi.nbytes == nv * (k * nv) ** 2 * 16
+    assert peak < 2.5 * m.choi.nbytes
 
 
 def test_pick_matches_classical_oracle_frozen():
