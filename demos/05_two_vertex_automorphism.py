@@ -4,13 +4,13 @@ The Mobius automorphisms of the two-vertex worked graph, and beyond
 
 A central point gamma (a weight on the loops) induces an automorphism
 alpha_gamma of the Hardy algebra.  mobius_alpha reads the generator
-images off the defect operators of gamma: infinite series in the loops,
-truncated at a path length N.  Evaluated at any dual point they give the
-entries of the Mobius matrix g_gamma(eta*) up to a geometric tail.  On
-the graph with edges e: v->w, f: w->v, g: w->w the loop weight lambda
-gives a one-parameter family; the same call serves a graph with two
-loops at one vertex.  The commutator of S_g with S_e S_f generates the
-ideal of elements vanishing at every point.
+images off the unitary colligation of gamma: the Taylor series of one
+small system per edge, truncated at a path length N.  Evaluated at any
+dual point they give the entries of the Mobius matrix g_gamma(eta*) up
+to a geometric tail.  On the graph with edges e: v->w, f: w->v, g: w->w
+the loop weight lambda gives a one-parameter family; the same call
+serves a graph with two loops at one vertex.  The commutator of S_g with
+S_e S_f generates the ideal of elements vanishing at every point.
 """
 
 import numpy as np

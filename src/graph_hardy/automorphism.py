@@ -10,11 +10,9 @@ images along each path term; composing with the Mobius involution of a
 central point gives the full automorphism group action used here.
 
 The Mobius automorphism alpha_gamma of a central point gamma, on any
-graph, is given by its generator images: mobius_alpha reads them off the
-defect operators of gamma as series in the loops at each vertex, and
-evaluating the image of S_e at a dual point gives the (r(e), e) entry of
-mobius_matrix up to the geometric tail of the truncation.  At gamma = 0
-every generator is negated, matching g_0 = -id.
+graph, is given by its generator images: mobius_alpha cuts one system per
+edge from the colligation of gamma and returns their Taylor polynomials.
+At gamma = 0 every generator is negated, matching g_0 = -id.
 """
 
 from __future__ import annotations
@@ -25,8 +23,9 @@ from .graph_core import (GraphError, _complex_from_json, _complex_to_json, _path
                          path_range, two_vertex_example)
 from .dual_eval import evaluate_poly
 from .fock import HardyPoly, random_poly
-from .mobius import (CentralPoint, _check_edge_support, _defects, _point_from_edge_support,
-                     mobius_matrix)
+from .mobius import (CentralPoint, _check_edge_support, _point_from_edge_support,
+                     mobius_colligation, mobius_matrix)
+from .realization import SystemMatrix, taylor_poly
 
 
 class BimoduleUnitary:
@@ -157,50 +156,35 @@ def pullback_evaluate(gamma, u, x, point):
 # ---------------------------------------------------------------------------
 # Mobius automorphisms
 
+def _alpha_system(W, g, e):
+    """The one-state system at v = r(e) with q1 = (s(e),) and q2 = (v,) whose
+    transfer is the (v, e) entry of g_gamma(eta*) = W11 + W12 eta* (id -
+    W22 eta*)^{-1} W21, W = mobius_colligation(gamma).  Its blocks, over the
+    loops f at v: B_v = W12[v, v], D^(f) = W22[f, v], and for a loop e also
+    A = W11[v, e] and C^(f) = W21[f, e].  Any other e has C^(e) = 1, since
+    W21 = D_gamma* is the identity off the loops (its eigh root misses that
+    by ulps).  V compresses the unitary W, so ||V|| <= 1."""
+    v, ne = g.dst[e], g.ne
+    i, j = g.vindex[v], g.eindex[e]
+    rows = {f: g.nv + g.eindex[f] for f in g.loops() if g.dst[f] == v}
+    A, C = None, {e: [[1.0]]}
+    if e in rows:
+        A, C = {v: W[i, j]}, {f: [[W[r, j]]] for f, r in rows.items()}
+    return SystemMatrix(g, {v: 1}, (g.src[e],), (v,), A=A, B={v: [[W[i, ne + i]]]}, C=C,
+                        D={f: [[W[r, ne + i]]] for f, r in rows.items()})
+
+
 def mobius_alpha(gamma, N):
-    """Generator images of the Mobius automorphism alpha_gamma of the
-    central point gamma, exact through path length N: a dict edge name ->
-    HardyPoly, in edge order.
-
-    Reading g_gamma(eta*) = D_gamma (id - eta* G)^{-1} (G* - eta*) D_gamma*^{-1}
-    off mobius_matrix: eta* G is diagonal with the value of
-    L_v = sum over the loops l at v of gamma_l S_l at v, D_gamma is diagonal
-    (d_v), and D_gamma*^{-1} is the identity off the loops and mixes only
-    the loops at one vertex.  So an edge e into v that is not a loop goes to
-
-        -d_v sum_k L_v^k S_e,
-
-    and a loop e at v goes to
-
-        d_v sum_k L_v^k sum_f D_gamma*^{-1}[f, e] (conj(gamma_f) P_v - S_f)
-
-    over the loops f at v.  Evaluating the image of e at a dual point gives
-    the (r(e), e) entry of mobius_matrix up to the tail of the series,
-    geometric in ||gamma|| ||eta||.  An edge into a vertex without loops
-    maps to -S_e exactly.  N < 0 raises ValueError.
-    """
+    """Generator images of the Mobius automorphism of the central point
+    gamma through path length N: edge name -> taylor_poly of _alpha_system,
+    in edge order; an edge into a vertex without loops goes to -S_e exactly.
+    At a dual point the image of e is the (r(e), e) entry of mobius_matrix
+    up to a tail geometric in ||gamma|| ||eta||.  N < 0 raises ValueError."""
     if N < 0:
         raise ValueError("truncation order N must be >= 0, got %d" % N)
-    g = gamma.graph
-    _, d_vertex, _, inv_d_edge = _defects(gamma)
-    images = {}
-    for v in g.vertices:
-        d_v = d_vertex[g.vindex[v], g.vindex[v]]
-        loops = [e for e in g.loops() if g.dst[e] == v]
-        L = HardyPoly._of_paths(g, {(e,): gamma.weight(e) for e in loops})
-        powers = [HardyPoly.vertex(g, v)]  # L_v^k, k = 0..N, with disjoint keys
-        for _ in range(N):
-            powers.append(powers[-1] * L)
-        head = HardyPoly._of_paths(g, {p: c for x in powers[:N] for p, c in x.coeffs.items()})
-        for e in g.in_edges(v):
-            if e not in loops:
-                images[e] = head * HardyPoly.shift(g, e) * -d_v
-                continue
-            mix = {f: inv_d_edge[g.eindex[f], g.eindex[e]] for f in loops}
-            c = sum(np.conj(gamma.weight(f)) * a for f, a in mix.items())
-            shifts = HardyPoly._of_paths(g, {(f,): a for f, a in mix.items()})
-            images[e] = ((head + powers[N]) * c - head * shifts) * d_v
-    return {e.name: images[e.name] for e in g.edges}
+    W, _ = mobius_colligation(gamma)
+    return {e.name: taylor_poly(_alpha_system(W, gamma.graph, e.name), N)
+            for e in gamma.graph.edges}
 
 
 def kernel_ideal_check(samples, rng=None, n_multiples=10, tol=1e-13):

@@ -11,7 +11,8 @@ and the subcommand's function returns only its own report fields,
 the function a reader that parses each further input file and records
 its path and sha256.  The report gets "command", then "inputs" for the
 subcommands that take --graph (all but autom-demo), then "tol" for
-those that take --tol (all but validate-graph and eval).
+those that take --tol (all but validate-graph and eval).  eval --unitary U
+without --gamma composes with g_0 = -id: it gives the gauge pullback of -U.
 
 Exit codes: 0 when "passed" is true; 1 when it is false, or when
 realize finds the data infeasible; 2 on malformed input, a negative --N
@@ -143,7 +144,8 @@ def cmd_fock_check(args, g, read):
           poly=dict(required=True, help="polynomial JSON file"),
           point=dict(required=True, help="dual point JSON file"),
           gamma=dict(help="central point JSON: evaluate the Mobius pullback"),
-          unitary=dict(help="bimodule unitary JSON: evaluate the gauge pullback"))
+          unitary=dict(help="bimodule unitary JSON U: gauge pullback composed with the Mobius "
+                            "map of --gamma, else with g_0 = -id (pass -U for the pure pullback)"))
 def cmd_eval(args, g, read):
     x = poly_from_terms(g, read("poly"))
     point = point_from_dict(g, read("point"), allow_boundary=True)

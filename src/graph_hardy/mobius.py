@@ -143,9 +143,7 @@ def mobius_colligation(gamma):
     (nv + ne) x (ne + nv) assembled matrix and the report carries the
     unitarity residuals."""
     G, d_vertex, d_edge, inv_d_edge = _defects(gamma)
-    top = np.hstack([d_vertex @ G.conj().T @ inv_d_edge, -d_vertex])
-    bottom = np.hstack([d_edge, G])
-    V = np.vstack([top, bottom])
+    V = np.block([[d_vertex @ G.conj().T @ inv_d_edge, -d_vertex], [d_edge, G]])
     ident = np.eye(V.shape[0])
     report = {
         "coisometry_residual": float(np.linalg.norm(V @ V.conj().T - ident, 2)),

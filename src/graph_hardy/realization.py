@@ -360,7 +360,8 @@ def taylor_extract(s, N):
 
 
 def taylor_poly(s, N):
-    return sum(taylor_extract(s, N), HardyPoly.zero(s.graph))
+    return HardyPoly._of_paths(s.graph, {p: c for x in taylor_extract(s, N)
+                                         for p, c in x.coeffs.items()})
 
 
 # ---------------------------------------------------------------------------

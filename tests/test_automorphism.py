@@ -19,6 +19,7 @@ from graph_hardy import (
     make_dual_point,
     mobius_alpha,
     mobius_apply,
+    mobius_colligation,
     mobius_matrix,
     pullback_evaluate,
     random_point,
@@ -27,7 +28,8 @@ from graph_hardy import (
     unitary_from_dict,
     unitary_to_dict,
 )
-from graph_hardy.automorphism import _parallel_classes
+from graph_hardy.automorphism import _alpha_system, _parallel_classes
+from graph_hardy.mobius import _defects
 
 from conftest import random_graph
 
@@ -354,6 +356,83 @@ def test_mobius_alpha_edges_into_loop_free_vertices_are_negated():
                 assert images[e.name].coeffs == {(e.name,): -1.0}, seed
                 checked += 1
     assert checked >= 20
+
+
+def loop_series_alpha(gamma, N):
+    """Reference derivation of mobius_alpha from the defect operators: with
+    L_v = sum over the loops l at v of gamma_l S_l and d_v the diagonal of
+    D_gamma, an edge e into v that is not a loop goes to
+    -d_v sum_{k<N} L_v^k S_e, and a loop e at v to
+    d_v sum_k L_v^k sum_f D_gamma*^{-1}[f, e] (conj(gamma_f) P_v - S_f)
+    over the loops f at v, truncated at path length N."""
+    g = gamma.graph
+    _, d_vertex, _, inv_d_edge = _defects(gamma)
+    images = {}
+    for v in g.vertices:
+        d_v = d_vertex[g.vindex[v], g.vindex[v]]
+        loops = [e for e in g.loops() if g.dst[e] == v]
+        L = HardyPoly(g, {(e,): gamma.weight(e) for e in loops})
+        powers = [HardyPoly.vertex(g, v)]  # L_v^k, k = 0..N, with disjoint keys
+        for _ in range(N):
+            powers.append(powers[-1] * L)
+        head = HardyPoly(g, {p: c for x in powers[:N] for p, c in x.coeffs.items()})
+        for e in g.in_edges(v):
+            if e not in loops:
+                images[e] = head * HardyPoly.shift(g, e) * -d_v
+                continue
+            mix = {f: inv_d_edge[g.eindex[f], g.eindex[e]] for f in loops}
+            c = sum(np.conj(gamma.weight(f)) * a for f, a in mix.items())
+            shifts = HardyPoly(g, {(f,): a for f, a in mix.items()})
+            images[e] = ((head + powers[N]) * c - head * shifts) * d_v
+    return {e.name: images[e.name] for e in g.edges}
+
+
+def oracle_cases():
+    """(graph, central point, N): the six loopy graphs and 40 random graphs
+    with seeded centers.  N keeps the loop words at a vertex with L >= 2
+    loops to about 3,000 (N <= log 3000 / log L), and at most 8."""
+    cases = [loopy_graph(np.random.default_rng(seed)) for seed in range(6)]
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        g = random_graph(rng, ensure_loop=True)
+        z = rng.standard_normal(len(g.loops())) + 1j * rng.standard_normal(len(g.loops()))
+        w = dict(zip(g.loops(), z))
+        cases.append((g, make_central_point(g, {e: rng.uniform(0.05, 0.9) * c / dual_norm(g, w)
+                                                for e, c in w.items()})))
+    for g, gamma in cases:
+        most = max(sum(g.dst[e] == v for e in g.loops()) for v in g.vertices)
+        yield g, gamma, 8 if most < 2 else min(8, int(np.log(3000) / np.log(most)))
+
+
+def test_mobius_alpha_matches_the_loop_series():
+    # both derivations round the eigh defect operators: against a 40-digit
+    # reference, the loop series misses the S_a2 coefficient of the loop a2
+    # of the eighth case by 1.0e-15, the colligation cut by 1.1e-16, so
+    # the gap bound is twice the rounding of either
+    terms = 0
+    for g, gamma, N in oracle_cases():
+        got, want = mobius_alpha(gamma, N), loop_series_alpha(gamma, N)
+        assert list(got) == list(want)
+        for e in got:
+            assert set(got[e].coeffs) == set(want[e].coeffs), (g, e, N)
+            if not any(g.dst[f] == g.dst[e] for f in g.loops()):
+                # exact even where the eigh root of D_gamma* misses the identity
+                assert got[e].coeffs == {(e,): -1.0}, (g, e)
+            scale = max(1.0, want[e].max_coeff())
+            assert all(abs(got[e].coeff(p) - c) <= 2e-15 * scale
+                       for p, c in want[e].coeffs.items()), (g, e, N)
+            terms += len(want[e].coeffs)
+    assert terms > 50000
+
+
+def test_alpha_systems_are_contractions():
+    # each V is a compression of the unitary colligation W, so the image of
+    # every generator is of Schur class
+    for g, gamma, _ in oracle_cases():
+        W, _ = mobius_colligation(gamma)
+        for e in g.edges:
+            V = _alpha_system(W, g, e.name).assemble()
+            assert np.linalg.norm(V, 2) <= 1.0 + 1e-12, (g, e.name)
 
 
 def test_kernel_ideal_vanishes():

@@ -17,6 +17,7 @@ from graph_hardy import (
     HardyPoly,
     SystemMatrix,
     central_to_dict,
+    diagonal_unitary,
     evaluate_poly,
     graph_to_dict,
     make_central_point,
@@ -30,6 +31,7 @@ from graph_hardy import (
     system_to_dict,
     transfer_eval,
     two_vertex_example,
+    unitary_to_dict,
 )
 from graph_hardy import realization
 from graph_hardy.cli import build_parser, main
@@ -164,6 +166,25 @@ def test_eval_pullback(capsys, tmp_path, graph_file):
     got = np.array([[complex(a, b) for a, b in row] for row in rep["value"]])
     expected = evaluate_poly(x, mobius_apply(gamma, pt))
     np.testing.assert_allclose(got, expected, atol=1e-12)
+
+
+def test_eval_unitary_without_gamma_composes_with_g0(capsys, tmp_path, graph_file):
+    # without --gamma the gauge pullback is composed with g_0 = -id: the
+    # identity unitary negates S_e, and -U gives the pure gauge pullback of U
+    g = two_vertex_example()
+    polyf = write_json(tmp_path / "poly.json", poly_to_terms(HardyPoly(g, {("e",): 1.0})))
+    ptf = write_json(tmp_path / "pt.json",
+                     point_to_dict(make_dual_point(g, {"e": 0.5, "g": 0.2})))
+    entry = {}
+    for name, phase in (("direct", None), ("identity", 1.0), ("minus identity", -1.0)):
+        argv = ["eval", "--graph", graph_file, "--poly", polyf, "--point", ptf]
+        if phase is not None:
+            u = diagonal_unitary(g, {e.name: phase for e in g.edges})
+            argv += ["--unitary", write_json(tmp_path / "u.json", unitary_to_dict(u))]
+        code, rep, _ = run_cli(capsys, argv)
+        assert code == 0
+        entry[name] = rep["value"][g.vindex["w"]][g.vindex["v"]]
+    assert entry == {"direct": [0.5, 0.0], "identity": [-0.5, 0.0], "minus identity": [0.5, 0.0]}
 
 
 def pick_payload(z, c):

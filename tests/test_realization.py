@@ -260,6 +260,26 @@ def test_transfer_matches_taylor_polynomial():
     assert nonzero >= 20
 
 
+def test_taylor_poly_merge_equals_the_sum_bitwise():
+    # the degree parts have disjoint keys, so one merged dict holds the
+    # same coefficients, in the same order and with the same bits, as the
+    # sum of the parts
+    rng = np.random.default_rng(5)
+    graphs = [two_vertex_example(), loop_graph()] + [random_graph(rng) for _ in range(12)]
+    terms = 0
+    for g in graphs:
+        s = random_system(g, rng)
+        for N in (0, 3, 7):
+            merged = taylor_poly(s, N)
+            summed = sum(taylor_extract(s, N), HardyPoly.zero(g))
+            assert list(merged.coeffs) == list(summed.coeffs)
+            bits = [np.array(list(x.coeffs.values()), dtype=complex).tobytes()
+                    for x in (merged, summed)]
+            assert bits[0] == bits[1]
+            terms += len(merged.coeffs)
+    assert terms > 50
+
+
 def test_transfer_matches_dense_insertion_oracle():
     # A + B (I - L* D)^{-1} L* C from assemble() and an explicit dense L*,
     # which takes row j of the fiber of e to row j of H_{r(e)} with factor
