@@ -161,13 +161,12 @@ def _alpha_system(W, g, e):
     transfer is the (v, e) entry of g_gamma(eta*) = W11 + W12 eta* (id -
     W22 eta*)^{-1} W21, W = mobius_colligation(gamma).  Its blocks, over the
     loops f at v: B_v = W12[v, v], D^(f) = W22[f, v], and for a loop e also
-    A = W11[v, e] and C^(f) = W21[f, e].  Any other e has C^(e) = 1, since
-    W21 = D_gamma* is the identity off the loops (its eigh root misses that
-    by ulps).  V compresses the unitary W, so ||V|| <= 1."""
+    A = W11[v, e] and C^(f) = W21[f, e]; any other e has C^(e) = W21[e, e],
+    which is exactly 1.  V compresses the unitary W, so ||V|| <= 1."""
     v, ne = g.dst[e], g.ne
     i, j = g.vindex[v], g.eindex[e]
     rows = {f: g.nv + g.eindex[f] for f in g.loops() if g.dst[f] == v}
-    A, C = None, {e: [[1.0]]}
+    A, C = None, {e: [[W[g.nv + j, j]]]}
     if e in rows:
         A, C = {v: W[i, j]}, {f: [[W[r, j]]] for f, r in rows.items()}
     return SystemMatrix(g, {v: 1}, (g.src[e],), (v,), A=A, B={v: [[W[i, ne + i]]]}, C=C,

@@ -73,24 +73,25 @@ def central_to_dict(c):
 # ---------------------------------------------------------------------------
 # defect operators
 
-def _sqrtm_pd(M):
-    """(M^{1/2}, M^{-1/2}) of a positive definite M from one eigh."""
-    lam, U = np.linalg.eigh(0.5 * (M + M.conj().T))
+def _defects(gamma):
+    """(G, D_gamma, D_gamma*, D_gamma*^{-1}), G the ne x nv matrix of gamma,
+    in closed form.  Column v of G is the vector gamma_v of the loop
+    weights at v, so D_gamma = diag(d_v) with d_v = sqrt(1 - |gamma_v|^2),
+    and on the loops at v, D_gamma* = I - gamma_v gamma_v^* / (1 + d_v)
+    with inverse I + gamma_v gamma_v^* / (d_v (1 + d_v)); both are the
+    identity off the loops, exactly."""
+    G = gamma.matrix()
+    lam = 1.0 - (np.abs(G) ** 2).sum(axis=0)
     if lam.min(initial=1.0) < 1e-14:
         raise ConditioningError("defect operator is numerically singular (smallest "
                                 "eigenvalue %.3e); the point is too close to the boundary"
                                 % lam.min())
-    root = np.sqrt(lam)
-    return (U * root) @ U.conj().T, (U / root) @ U.conj().T
-
-
-def _defects(gamma):
-    """(G, D_gamma, D_gamma*, D_gamma*^{-1}), G the ne x nv matrix of gamma."""
-    g = gamma.graph
-    G = gamma.matrix()
-    d_vertex, _ = _sqrtm_pd(np.eye(g.nv) - G.conj().T @ G)
-    d_edge, inv_d_edge = _sqrtm_pd(np.eye(g.ne) - G @ G.conj().T)
-    return G, d_vertex, d_edge, inv_d_edge
+    d = np.sqrt(lam)
+    gg = G @ G.conj().T
+    gg = 0.5 * (gg + gg.conj().T)  # exactly Hermitian, so its diagonal is real
+    at = d[_edge_support(gamma.graph)[0], None]  # d_v at the range vertex of each edge
+    ident = np.eye(len(G))
+    return G, np.diag(d), ident - gg / (1.0 + at), ident + gg / (at * (1.0 + at))
 
 
 def _mobius_stack(gamma, points):

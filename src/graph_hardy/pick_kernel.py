@@ -26,6 +26,17 @@ a_ij = c_ij delta_u and compressing shows necessity; sufficiency is the
 usual Choi argument applied per vertex, since C(V) splits as a direct
 sum over the vertices.)
 
+Many Choi blocks are block diagonal up to a permutation: the Mobius
+congruence kernel is diagonal in the vertex index, and on a graph that
+is not strongly connected whole groups of rows vanish.  The CP test
+drops the rows and columns of a block that are exactly zero (each one
+an eigenvalue 0) and groups the other rows (i, p) by the connected
+component of p in the symmetrised vertex pattern of the block's
+nonzero entries.  Entries between groups are exactly zero in both
+orientations, so the spectrum is the union of the groups' spectra, and
+one stacked eigvalsh per group size replaces the eigvalsh of the whole
+block.  A block that does not split is handed over whole, as before.
+
 A CpMapMatrix is stored as exactly these blocks, one per vertex.  All
 kernels come from one builder: one batched solve gives every R_ij, and
 for each vertex u one stacked matmul (k GEMMs) writes every
@@ -144,28 +155,92 @@ def schur_kernel_matrix(points, values):
     return _kernel(g, _resolvent_stack(g, points, points), minus=minus)
 
 
+def _vertex_groups(P):
+    """Connected components of the symmetric nv x nv boolean pattern P,
+    as sorted lists of vertex indices."""
+    adj = P.tolist()
+    seen, groups = set(), []
+    for s in range(len(adj)):
+        if s not in seen:
+            seen.add(s)
+            group = [s]
+            for p in group:  # grows while it is walked
+                for q, linked in enumerate(adj[p]):
+                    if linked and q not in seen:
+                        seen.add(q)
+                        group.append(q)
+            groups.append(sorted(group))
+    return groups
+
+
+def _exact_split(ch, nv):
+    """The diagonal blocks of the exact block-diagonal form of the Choi
+    block ch, as (m, s, s) stacks of the m groups of size s, and whether
+    a row was dropped.
+
+    Rows and columns that are exactly zero are dropped.  The others,
+    (i, p) in ch's point-major order, are grouped by the component of p
+    in the vertex pattern of the nonzero entries, symmetrised, so an
+    entry between two groups is zero in both orientations.  Rows keep
+    their order within a group.  A block that does not split comes back
+    whole, as a view."""
+    if not ch.size:
+        return [], False
+    if nv == 1 and ch.diagonal().all():
+        return [ch[None]], False  # one vertex and no zero row: nothing to split
+    n = len(ch)
+    k = n // nv
+    nz = ch != 0
+    keep = nz.any(axis=0) | nz.any(axis=1)
+    groups = [[0]]
+    if nv > 1:
+        # P[p, q]: some entry at ((i, p), (j, q)) is nonzero
+        P = nz.reshape(k, nv * n).any(axis=0).reshape(nv, k, nv).any(axis=1)
+        groups = _vertex_groups(P | P.T)
+    dropped = not keep.all()
+    if len(groups) == 1 and not dropped:
+        return [ch[None]], False
+    keep = keep.reshape(k, nv)
+    by_size = {}
+    for group in groups:
+        rows = (np.arange(k)[:, None] * nv + group)[keep[:, group]]
+        if rows.size:
+            by_size.setdefault(rows.size, []).append(rows)
+    return [ch[r[:, :, None], r[:, None, :]] for r in map(np.array, by_size.values())], dropped
+
+
 def is_completely_positive(m, tol=1e-9):
-    """CP test by per-vertex Choi blocks.
+    """CP test by per-vertex Choi blocks, each split along its exact zeros.
 
     Each block must be Hermitian up to 1e-12 * (1 + its largest entry)
     (violation raises StructuralError) and its minimum eigenvalue
-    must be >= -tol * (1 + spectral norm of the block).  Returns a report
-    with one entry per vertex and the overall verdict.
+    must be >= -tol * (1 + spectral norm of the block).  The block's
+    eigenvalues are those of the diagonal blocks of its exact
+    block-diagonal form (see _exact_split), plus one 0 for each dropped
+    zero row; the largest entry and the Hermitian deviation are the same
+    as over the whole block, and the eigenvalues move at rounding level
+    against one eigvalsh of the whole block.  Returns a report with one
+    entry per vertex and the overall verdict.
     """
     blocks = []
     cp = True
     worst = np.inf
     for u, v in enumerate(m.graph.vertices):
-        ch = m.choi_block(u)
-        ch_adj = ch.conj().T
-        scale = float(np.abs(ch).max(initial=0.0))
-        herm_dev = float(np.abs(ch - ch_adj).max(initial=0.0))
+        stacks, dropped = _exact_split(m.choi_block(u), m.graph.nv)
+        scale = herm_dev = 0.0
+        # eigvalsh sorts ascending; each dropped row is an eigenvalue 0
+        lo, hi = (0.0, 0.0) if dropped or not stacks else (np.inf, -np.inf)
+        for x in stacks:
+            h = x.conj().swapaxes(1, 2)
+            scale = max(scale, float(np.abs(x).max()))
+            herm_dev = max(herm_dev, float(np.abs(x - h).max()))
+            eigs = np.linalg.eigvalsh(0.5 * (x + h))
+            lo = min(lo, *eigs[:, 0].tolist())
+            hi = max(hi, *eigs[:, -1].tolist())
         if herm_dev > 1e-12 * (1.0 + scale):
             raise StructuralError(
                 "Choi block of vertex %r deviates from Hermitian by %.3e" % (v, herm_dev))
-        eigs = np.linalg.eigvalsh(0.5 * (ch + ch_adj))
-        min_eig = float(eigs.min()) if eigs.size else 0.0
-        spec = float(np.abs(eigs).max(initial=0.0))
+        min_eig, spec = lo, max(abs(lo), abs(hi))
         ok = min_eig >= -tol * (1.0 + spec)
         cp = cp and ok
         worst = min(worst, min_eig)

@@ -345,7 +345,9 @@ def test_mobius_alpha_matches_mobius_matrix_on_loopy_graphs(N):
 def test_mobius_alpha_edges_into_loop_free_vertices_are_negated():
     # d_v = 1 and L_v = 0 at a vertex without loops: -S_e exactly, whatever gamma
     checked = 0
-    for seed in range(40):
+    # an eigh root of D_gamma* missed W21[e, e] = 1 on 22 edges, none of
+    # them in seeds 0-39
+    for seed in range(300):
         rng = np.random.default_rng(seed)
         g = random_graph(rng, ensure_loop=True)
         z = rng.standard_normal(len(g.loops())) + 1j * rng.standard_normal(len(g.loops()))
@@ -355,7 +357,7 @@ def test_mobius_alpha_edges_into_loop_free_vertices_are_negated():
             if not any(g.dst[ell] == e.dst for ell in g.loops()):
                 assert images[e.name].coeffs == {(e.name,): -1.0}, seed
                 checked += 1
-    assert checked >= 20
+    assert checked >= 400
 
 
 def loop_series_alpha(gamma, N):
@@ -404,11 +406,37 @@ def oracle_cases():
         yield g, gamma, 8 if most < 2 else min(8, int(np.log(3000) / np.log(most)))
 
 
+def test_defect_operators_are_graded_exactly():
+    # an eigh of the whole id - G G^* mixed its eigenvalue 1 across the
+    # grading on the 39th random case: D_gamma*[a1, a1] = 1 - 1.2e-15 and
+    # D_gamma*[a1, a2] = 4.2e-16 with a1 no loop
+    cases = list(oracle_cases())
+    g, gamma, _ = cases[44]
+    _, _, d_edge, inv_d_edge = _defects(gamma)
+    j = g.eindex["a1"]
+    assert d_edge[j].tolist() == inv_d_edge[j].tolist() == np.eye(g.ne)[j].tolist()
+    for g, gamma, _ in cases:
+        G, d_vertex, d_edge, inv_d_edge = _defects(gamma)
+        # grading block of an edge: its vertex for a loop, itself otherwise
+        block = np.array([g.vindex[e.dst] if e.src == e.dst else g.nv + i
+                          for i, e in enumerate(g.edges)])
+        off = block[:, None] != block[None, :]
+        non_loop = block >= g.nv
+        for D in (d_edge, inv_d_edge):
+            assert not D[off].any(), g
+            assert (D == D.conj().T).all(), g
+            assert (D.diagonal()[non_loop] == 1.0).all(), g
+        assert (d_vertex == np.diag(d_vertex.diagonal())).all()
+        eye_e, eye_v = np.eye(g.ne), np.eye(g.nv)
+        assert np.abs(d_edge @ d_edge - (eye_e - G @ G.conj().T)).max() < 1e-15
+        assert np.abs(d_edge @ inv_d_edge - eye_e).max() < 1e-15
+        assert np.abs(d_vertex @ d_vertex - (eye_v - G.conj().T @ G)).max() < 1e-15
+
+
 def test_mobius_alpha_matches_the_loop_series():
-    # both derivations round the eigh defect operators: against a 40-digit
-    # reference, the loop series misses the S_a2 coefficient of the loop a2
-    # of the eighth case by 1.0e-15, the colligation cut by 1.1e-16, so
-    # the gap bound is twice the rounding of either
+    # the loop series and the colligation read the same closed-form defect
+    # operators but round their products differently: the worst gap is
+    # 2.2e-16, well inside the 2e-15 bound
     terms = 0
     for g, gamma, N in oracle_cases():
         got, want = mobius_alpha(gamma, N), loop_series_alpha(gamma, N)
@@ -416,7 +444,7 @@ def test_mobius_alpha_matches_the_loop_series():
         for e in got:
             assert set(got[e].coeffs) == set(want[e].coeffs), (g, e, N)
             if not any(g.dst[f] == g.dst[e] for f in g.loops()):
-                # exact even where the eigh root of D_gamma* misses the identity
+                # exact: D_gamma* is the identity off the loops
                 assert got[e].coeffs == {(e,): -1.0}, (g, e)
             scale = max(1.0, want[e].max_coeff())
             assert all(abs(got[e].coeff(p) - c) <= 2e-15 * scale

@@ -316,3 +316,143 @@ def test_hermitian_gate_is_relative_to_block_scale(scale):
                 is_completely_positive(m)
         else:
             assert is_completely_positive(m)["cp"]
+
+
+def full_block_report(m, tol=1e-9):
+    """(min_eig, spectral norm, psd) per vertex from one eigvalsh of each
+    whole Choi block: the reference for the split blocks."""
+    out = []
+    for u in range(m.graph.nv):
+        ch = m.choi_block(u)
+        eigs = np.linalg.eigvalsh(0.5 * (ch + ch.conj().T))
+        lo = float(eigs.min()) if eigs.size else 0.0
+        spec = float(np.abs(eigs).max(initial=0.0))
+        out.append((lo, spec, lo >= -tol * (1.0 + spec)))
+    return out
+
+
+def assert_matches_full_block(m, bitwise=False):
+    rep = is_completely_positive(m)
+    ref = full_block_report(m)
+    for block, (lo, spec, psd) in zip(rep["blocks"], ref):
+        assert block["psd"] == psd
+        if bitwise:
+            assert (block["min_eig"], block["scale"]) == (lo, spec)
+        else:
+            assert abs(block["min_eig"] - lo) <= 1e-13 * (1.0 + spec)
+            assert abs(block["scale"] - spec) <= 1e-13 * (1.0 + spec)
+    assert rep["cp"] == all(psd for _, _, psd in ref)
+    return rep
+
+
+def planted_block(rng, k, nv, groups, zero_rows, psd=True):
+    """Hermitian (k nv) x (k nv) block with entries only between rows
+    (i, p), (j, q) whose vertices share one of `groups` random labels, and
+    the given rows and columns zeroed.  PSD, or not when the diagonal
+    entry of the first nonzero row is set to -1."""
+    n = k * nv
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    label = np.tile(rng.integers(0, groups, size=nv), k)
+    H = (A @ A.conj().T) * (label[:, None] == label[None, :])
+    H[zero_rows] = 0.0
+    H[:, zero_rows] = 0.0
+    if not psd:
+        first = min(set(range(n)) - set(zero_rows))
+        H[first, first] = -1.0
+    return H
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_split_blocks_match_the_full_block(seed):
+    # block diagonal up to a permutation, with planted zero rows: the
+    # report equals one eigvalsh of the whole block up to rounding
+    rng = np.random.default_rng(seed)
+    verdicts = Counter()
+    for nv in (1, 2, 3, 5):
+        g = Graph(["v%d" % p for p in range(nv)], [("a", "v0", "v0")])
+        k = int(rng.integers(2, 7))
+        choi = np.array([planted_block(rng, k, nv, int(rng.integers(1, nv + 1)),
+                                       list(rng.choice(k * nv, size=int(rng.integers(0, 3)),
+                                                       replace=False)),
+                                       psd=nv in (1, 3))
+                         for _ in range(nv)])
+        rep = assert_matches_full_block(CpMapMatrix(g, choi))
+        verdicts[rep["cp"]] += 1
+    assert verdicts == Counter({True: 2, False: 2})
+
+
+def test_split_hands_eigvalsh_only_the_groups(monkeypatch):
+    # two vertex groups of sizes 2k and k, one zero row in the first: the
+    # matrices handed over are the groups of the kept rows, 2k - 1 and k
+    g = Graph(["a", "b", "c"], [("x", "a", "a")])
+    rng = np.random.default_rng(5)
+    k = 4
+    H = planted_block(rng, k, 3, 1, [7])
+    H *= np.tile([1, 1, 0], k)[:, None] == np.tile([1, 1, 0], k)[None, :]
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: shapes.append(a.shape) or eigvalsh(a))
+    rep = is_completely_positive(CpMapMatrix(g, np.array([H, H, H])))
+    monkeypatch.undo()
+    assert rep["cp"]
+    assert sorted(shapes) == [(1, 4, 4), (1, 4, 4), (1, 4, 4),
+                              (1, 7, 7), (1, 7, 7), (1, 7, 7)]
+    assert_matches_full_block(CpMapMatrix(g, np.array([H, H, H])))
+
+
+@pytest.mark.parametrize("zero_row", [False, True])
+def test_one_sided_entry_joins_groups_and_raises(zero_row):
+    # Ch[a, b] != 0 with Ch[b, a] = 0 between two otherwise separate
+    # groups: the symmetrised pattern puts a and b in one group, so the
+    # Hermitian check still sees the pair
+    g = two_vertex_example()
+    ch = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)  # rows (i, p), p = i mod 2
+    assert is_completely_positive(CpMapMatrix(g, np.array([ch, ch])))["cp"]
+    if zero_row:
+        ch[0, 0] = 0.0  # row 0 is zero, column 0 is not
+        ch[1, 0] = 0.5
+    else:
+        ch[0, 1] = 0.5
+    with pytest.raises(StructuralError, match="vertex 'v'"):
+        is_completely_positive(CpMapMatrix(g, np.array([ch, ch])))
+
+
+def sink_source_graphs():
+    """A source s -> a loop vertex l -> a sink t, and a sink fed by two
+    loop vertices; neither is strongly connected."""
+    yield Graph(["s", "l", "t"], [("e", "s", "l"), ("z", "l", "l"), ("f", "l", "t")])
+    yield Graph(["p", "q", "t"], [("y", "p", "p"), ("z", "q", "q"),
+                                  ("e", "p", "t"), ("f", "q", "t")])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_split_verdicts_on_sink_and_source_graphs(seed):
+    # feasible and infeasible Schur and Pick data on graphs whose Choi
+    # blocks split: the same verdicts as one eigvalsh of each whole block
+    rng = np.random.default_rng(seed)
+    verdicts = Counter()
+    for g in sink_source_graphs():
+        s = random_system(g, rng)
+        pts = [random_point(g, rng, max_norm=0.8) for _ in range(5)]
+        X = [transfer_eval(s, p) for p in pts]
+        B = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in pts]
+        for scale in (1.0, 1.6):
+            for m in (schur_kernel_matrix(pts, [scale * x for x in X]),
+                      pick_map_matrix(pts, B, [scale * b @ x for b, x in zip(B, X)])):
+                rep = assert_matches_full_block(m)
+                verdicts[scale, rep["cp"]] += 1
+    assert verdicts[1.0, True] == 4
+    assert verdicts[1.6, False] >= 1
+
+
+def test_one_vertex_pick_reports_are_bitwise_the_full_block():
+    # nothing to split on one vertex: the report is the full-block
+    # eigvalsh bit for bit, feasible and infeasible
+    g = loop_graph()
+    rng = np.random.default_rng(12)
+    for trial in range(20):
+        z = rng.uniform(0.05, 0.9, size=16) * np.exp(2j * np.pi * rng.random(16))
+        c = 0.9 * z ** 2 * (1.0 if trial % 2 else 1.2)
+        pts = [make_dual_point(g, {"z": np.conj(zi)}) for zi in z]
+        assert_matches_full_block(pick_map_matrix(pts, [1.0] * 16, list(c)), bitwise=True)
