@@ -21,10 +21,9 @@ import numpy as np
 
 from .graph_core import (GraphError, _complex_from_json, _complex_to_json, _path_edges,
                          path_range, two_vertex_example)
-from .dual_eval import evaluate_poly
+from .dual_eval import DualPoint, evaluate_poly
 from .fock import HardyPoly, random_poly
-from .mobius import (CentralPoint, _check_edge_support, _point_from_edge_support,
-                     mobius_colligation, mobius_matrix)
+from .mobius import CentralPoint, mobius_apply, mobius_colligation
 from .realization import SystemMatrix, taylor_poly
 
 
@@ -139,18 +138,17 @@ def pullback_evaluate(gamma, u, x, point):
     """Value of the automorphism image of x at a dual point, computed by
     moving the point instead of the polynomial.
 
-    The gauge layer sends the evaluation weights w to U^H w, and the
-    Mobius layer moves the result by g_gamma; combined, the matrix
-    M = g_gamma(eta*) U has the image point's conjugated weights on its
-    edge support.  gamma may be None for the pure gauge action composed
-    with the central inversion at 0.
+    The Mobius layer moves the point's weights by g_gamma, and the gauge
+    layer sends the moved weights w to U^H w; U mixes only parallel edges,
+    so the result is again one weight per edge.  gamma may be None for the
+    pure gauge action composed with the central inversion at 0.
     """
     g = x.graph
     if gamma is None:
         gamma = CentralPoint(g, {})
-    M = mobius_matrix(gamma, point) @ u.full_matrix()
-    _check_edge_support(g, M, "pulled-back point")
-    return evaluate_poly(x, _point_from_edge_support(g, M, point))
+    # mobius_apply holds the image to the ball; U^H keeps each vertex's column norm
+    moved = u.full_matrix().conj().T @ mobius_apply(gamma, point).weights
+    return evaluate_poly(x, DualPoint(g, moved, allow_boundary=True))
 
 
 # ---------------------------------------------------------------------------

@@ -62,8 +62,7 @@ from .realization import (
     transfer_eval,
     validate_system,
 )
-from .mobius import (CentralPoint, _mobius_stack, _point_from_edge_support, central_from_dict,
-                     mobius_apply, mobius_colligation)
+from .mobius import CentralPoint, central_from_dict, mobius_apply, mobius_colligation
 from .automorphism import (
     identity_unitary,
     kernel_ideal_check,
@@ -225,7 +224,7 @@ def cmd_mobius(args, g, read):
     gamma = central_from_dict(g, read("gamma"))
     _, coll = mobius_colligation(gamma)
     pts = [zero_point(g), gamma] + ([point_from_dict(g, read("point"))] if args.point else [])
-    images = [_point_from_edge_support(g, M, p) for M, p in zip(_mobius_stack(gamma, pts), pts)]
+    images = [mobius_apply(gamma, p) for p in pts]
     fixed_dev = _max_abs(images[0].weights - gamma.weights)
     zero_dev = _max_abs(images[1].weights)
     report = {"colligation": coll, "g_at_zero_vs_gamma": fixed_dev,
@@ -256,14 +255,15 @@ def cmd_autom_demo(args, g, read):
     worst = 0.0
     per_point = []
     pts = [random_point(g, rng, max_norm=0.7) for _ in range(args.npoints)]
-    for pt, moved in zip(pts, _mobius_stack(gamma, pts)):
+    for pt in pts:
+        moved = mobius_apply(gamma, pt)
         dev = max(abs(evaluate_poly(images[e.name], pt)[g.vindex[e.dst], g.vindex[e.src]]
-                      - moved[g.vindex[e.dst], g.eindex[e.name]])
+                      - np.conj(moved.weight(e.name)))
                   for e in g.edges)
         worst = max(worst, dev)
         per_point.append({"norm": pt.norm, "dev": dev})
     ideal = kernel_ideal_check(pts, rng=rng)
-    return {"lambda": [lam.real, lam.imag], "N": args.N, "seed": args.seed,
+    return {"lambda": _complex_to_json(lam), "N": args.N, "seed": args.seed,
             "points": per_point, "worst_residual": worst, "kernel_ideal": ideal,
             "passed": bool(worst < args.tol and ideal["passed"])}
 

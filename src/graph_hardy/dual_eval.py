@@ -73,10 +73,6 @@ class DualPoint:
         m[cols, rows] = self.weights
         return m
 
-    def adjoint(self):
-        """nv x ne matrix, the conjugate transpose of matrix()."""
-        return self.matrix().conj().T
-
     def __repr__(self):
         return "DualPoint(norm=%.4g, %s)" % (
             self.norm,

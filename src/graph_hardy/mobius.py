@@ -20,6 +20,13 @@ its reversed-edge twin coordinatewise,
 is unitary for every central gamma in the open ball; at gamma = 0 it
 degenerates to [[0, -id], [id, 0]], matching g_0 = -id.
 
+Because gamma is central, eta* gamma is a vertex function for every dual
+point eta, so id - eta* gamma is inverted by a division at each vertex,
+and D_gamma*^{-1} mixes only loops at one vertex.  The image of eta is
+therefore again one weight per edge, computed in closed form; images
+exist only as weights, and mobius_matrix scatters their conjugates onto
+the entries (r(e), e) of the nv x ne matrix.
+
 A CentralPoint is a DualPoint.  Defect operators that are numerically
 singular (gamma next to the boundary) raise ConditioningError.
 """
@@ -31,7 +38,7 @@ import numpy as np
 from .graph_core import (ConditioningError, GraphError, _complex_from_json, _complex_to_json,
                          _json_object)
 from .dual_eval import BoundaryError, DualPoint, _edge_support, _resolvent_stack, _theta_stack
-from .pick_kernel import StructuralError, _kernel
+from .pick_kernel import _kernel
 
 
 class CentralPoint(DualPoint):
@@ -94,49 +101,39 @@ def _defects(gamma):
     return G, np.diag(d), ident - gg / (1.0 + at), ident + gg / (at * (1.0 + at))
 
 
-def _mobius_stack(gamma, points):
-    """The (k, nv, ne) stack of g_gamma(eta_i*), from one _defects and one
-    batched solve.  Each image is supported, for each edge e, at (r(e), e);
-    anything off that support beyond 1e-12 relative is a StructuralError."""
+def _mobius_weights(gamma, points):
+    """The (k, ne) weights of the images g_gamma(eta_i*).  With cw the
+    conjugated weights of a point, cw @ G is the vertex function eta* gamma,
+    and weight(e) is the conjugate of the image's entry at (r(e), e),
+
+        d[r(e)] ((G^H - eta*) D_gamma*^{-1})[r(e), e] / (1 - eta* gamma)[r(e)].
+
+    The products run as stacked (1, ne) rows, so each point gets the bits
+    of a one-point call."""
     g = gamma.graph
     if any(p.graph != g for p in points):
         raise GraphError("point and center live on different graphs")
     G, d_vertex, _, inv_d_edge = _defects(gamma)
-    eta_adj = np.array([p.adjoint() for p in points]).reshape(len(points), g.nv, g.ne)
-    core = np.linalg.solve(np.eye(g.nv) - eta_adj @ G, G.conj().T - eta_adj)
-    M = d_vertex @ core @ inv_d_edge
-    for image in M:
-        _check_edge_support(g, image, "Mobius image")
-    return M
+    r, e = _edge_support(g)
+    cw = np.conj([p.weights for p in points]).reshape(len(points), 1, g.ne)
+    image = np.diag(d_vertex)[r] * ((G.conj().T[r, e] - cw) @ inv_d_edge) / (1.0 - cw @ G)[..., r]
+    return np.conj(image).reshape(len(points), g.ne)
 
 
 def mobius_matrix(gamma, point):
-    """The full nv x ne matrix of g_gamma(eta*), supported at the entries
-    (r(e), e); the one-point case of _mobius_stack."""
-    return _mobius_stack(gamma, [point])[0]
-
-
-def _check_edge_support(g, M, what):
-    """Raise StructuralError if the nv x ne matrix M has an entry beyond
-    1e-12 relative off the support (r(e), e)."""
-    outside = M.copy()
-    outside[_edge_support(g)] = 0.0
-    off = float(np.abs(outside).max(initial=0.0))
-    if off > 1e-12 * (1.0 + float(np.abs(M).max(initial=0.0))):
-        raise StructuralError("%s leaks off the edge support by %.3e" % (what, off))
-
-
-def _point_from_edge_support(g, M, point):
-    """The dual point whose weight(e) is the conjugate of M at (r(e), e);
-    on the closed ball when the point it was moved from is at the boundary."""
-    weights = np.conj(M[_edge_support(g)])
-    return DualPoint(g, weights, allow_boundary=point.norm >= 1.0 - 1e-12)
+    """The full nv x ne matrix of g_gamma(eta*): the conjugated image weights
+    scattered onto the entries (r(e), e), zero elsewhere."""
+    g = gamma.graph
+    M = np.zeros((g.nv, g.ne), dtype=complex)
+    M[_edge_support(g)] = np.conj(_mobius_weights(gamma, [point])[0])
+    return M
 
 
 def mobius_apply(gamma, point):
-    """g_gamma as a map of dual points: weight(e) of the image is the
-    conjugate of the matrix entry at (r(e), e)."""
-    return _point_from_edge_support(gamma.graph, mobius_matrix(gamma, point), point)
+    """g_gamma as a map of dual points; the image is on the closed ball when
+    the point is at the boundary."""
+    return DualPoint(point.graph, _mobius_weights(gamma, [point])[0],
+                     allow_boundary=point.norm >= 1.0 - 1e-12)
 
 
 def mobius_colligation(gamma):
@@ -160,7 +157,7 @@ def mobius_congruence_matrix(gamma, points):
     with z'_i = g_gamma applied to z_i.  Completely positive for central
     gamma."""
     g = gamma.graph
-    moved = [_point_from_edge_support(g, M, p)
-             for M, p in zip(_mobius_stack(gamma, points), points)]
+    moved = [DualPoint(g, w, allow_boundary=p.norm >= 1.0 - 1e-12)
+             for w, p in zip(_mobius_weights(gamma, points), points)]
     theta = _theta_stack(g, moved, moved)
     return _kernel(g, (np.eye(g.nv) - theta) @ _resolvent_stack(g, points, points))

@@ -194,6 +194,16 @@ def test_pullback_gauge_only_is_inversion_composed():
         np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
 
+def test_pullback_of_the_identity_gauge_at_zero_negates_the_point_exactly():
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng)
+        x = random_poly(g, rng, degree=3)
+        p = random_point(g, rng, max_norm=0.9)
+        np.testing.assert_array_equal(pullback_evaluate(None, identity_unitary(g), x, p),
+                                      evaluate_poly(x, DualPoint(g, -p.weights)))
+
+
 # ---------------------------------------------------------------------------
 # Mobius automorphisms: the two-vertex closed forms are the oracles
 

@@ -168,6 +168,24 @@ def test_eval_pullback(capsys, tmp_path, graph_file):
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
+def test_eval_pullback_of_a_boundary_point(capsys, tmp_path, graph_file):
+    # a point on the sphere moves onto the sphere and is evaluated there
+    g = two_vertex_example()
+    x = HardyPoly(g, {"v": 0.5, ("e",): 1.0, ("g",): -0.5})
+    polyf = write_json(tmp_path / "poly.json", poly_to_terms(x))
+    pt = make_dual_point(g, {"e": 0.6, "f": 0.8j, "g": 0.8}, allow_boundary=True)
+    ptf = write_json(tmp_path / "pt.json", point_to_dict(pt))
+    gamma = make_central_point(g, {"g": 0.35 - 0.2j})
+    gf = write_json(tmp_path / "gamma.json", central_to_dict(gamma))
+    code, rep, _ = run_cli(capsys, ["eval", "--graph", graph_file, "--poly", polyf,
+                                    "--point", ptf, "--gamma", gf])
+    assert code == 0 and rep["mode"] == "pullback"
+    moved = mobius_apply(gamma, pt)
+    assert abs(moved.norm - 1.0) < 1e-14
+    got = np.array([[complex(a, b) for a, b in row] for row in rep["value"]])
+    np.testing.assert_allclose(got, evaluate_poly(x, moved), atol=1e-12)
+
+
 def test_eval_unitary_without_gamma_composes_with_g0(capsys, tmp_path, graph_file):
     # without --gamma the gauge pullback is composed with g_0 = -id: the
     # identity unitary negates S_e, and -U gives the pure gauge pullback of U
