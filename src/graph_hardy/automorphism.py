@@ -144,6 +144,8 @@ def pullback_evaluate(gamma, u, x, point):
     pure gauge action composed with the central inversion at 0.
     """
     g = x.graph
+    if u.graph != g:
+        raise GraphError("unitary and polynomial live on different graphs")
     if gamma is None:
         gamma = CentralPoint(g, {})
     # mobius_apply holds the image to the ball; U^H keeps each vertex's column norm

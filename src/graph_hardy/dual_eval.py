@@ -115,26 +115,34 @@ def random_point(g, rng, max_norm=0.9, min_norm=0.0):
 # ---------------------------------------------------------------------------
 # rank-one maps and resolvents
 
-def _theta_stack(g, points1, points2):
-    """Stack of theta matrices, shape (len(points1), len(points2), nv, nv):
-    entry [i, j, r(e), s(e)] accumulates conj(w_i(e)) * w_j(e) over the
+def _weight_stack(g, points):
+    """The (k, ne) array of the points' weights; GraphError unless all live on g."""
+    if any(p.graph != g for p in points):
+        raise GraphError("points live on different graphs")
+    return np.array([p.weights for p in points]).reshape(len(points), g.ne)
+
+
+def _theta_stack(g, w1, w2):
+    """Stack of theta matrices of the weight rows, shape (len(w1), len(w2), nv, nv):
+    entry [i, j, r(e), s(e)] accumulates conj(w1[i, e]) * w2[j, e] over the
     edges, in edge order."""
-    for p in (*points1, *points2):
-        if p.graph != g:
-            raise GraphError("points live on different graphs")
     incidence = np.zeros((g.ne, g.nv, g.nv))
     for i, e in enumerate(g.edges):
         incidence[i, g.vindex[e.dst], g.vindex[e.src]] = 1.0
-    w1 = np.array([p.weights for p in points1]).reshape(len(points1), g.ne)
-    w2 = np.array([p.weights for p in points2]).reshape(len(points2), g.ne)
     return np.einsum("ie,je,evs->ijvs", w1.conj(), w2, incidence)
 
 
-def _resolvent_stack(g, points1, points2):
-    """R[i, j] = matrix of (id - theta_{points1[i], points2[j]})^{-1}, all
-    pairs in one batched solve."""
-    eye = np.eye(g.nv, dtype=complex)
-    return np.linalg.solve(eye - _theta_stack(g, points1, points2), eye)
+def _resolvent_stack(g, w1, w2):
+    """R[i, j] = matrix of (id - theta_{w1[i], w2[j]})^{-1}, all pairs in
+    one batched inverse.  A pair at which id - theta is singular (only
+    possible on the boundary) raises BoundaryError naming it."""
+    a = np.eye(g.nv, dtype=complex) - _theta_stack(g, w1, w2)
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        # inv fails on an exactly zero LU pivot, which makes det exactly 0
+        i, j = np.argwhere(np.linalg.det(a) == 0)[0]
+        raise BoundaryError("id - theta is singular at the point pair (%d, %d)" % (i, j)) from None
 
 
 def theta_matrix(p1, p2):
@@ -142,13 +150,14 @@ def theta_matrix(p1, p2):
 
     Entry (r(e), s(e)) accumulates conj(w1(e)) * w2(e).
     """
-    return _theta_stack(p1.graph, [p1], [p2])[0, 0]
+    return _theta_stack(p1.graph, *_weight_stack(p1.graph, [p1, p2])[:, None])[0, 0]
 
 
 def resolvent_matrix(p1, p2):
     """Matrix of (id - theta_{p1, p2})^{-1}; defined whenever
-    ||p1|| * ||p2|| < 1, which makes the Neumann series converge."""
-    return _resolvent_stack(p1.graph, [p1], [p2])[0, 0]
+    ||p1|| * ||p2|| < 1, which makes the Neumann series converge.  On the
+    boundary id - theta can be singular, which raises BoundaryError."""
+    return _resolvent_stack(p1.graph, *_weight_stack(p1.graph, [p1, p2])[:, None])[0, 0]
 
 # ---------------------------------------------------------------------------
 # evaluation

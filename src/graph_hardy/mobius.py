@@ -37,7 +37,8 @@ import numpy as np
 
 from .graph_core import (ConditioningError, GraphError, _complex_from_json, _complex_to_json,
                          _json_object)
-from .dual_eval import BoundaryError, DualPoint, _edge_support, _resolvent_stack, _theta_stack
+from .dual_eval import (BoundaryError, DualPoint, _edge_support, _resolvent_stack, _theta_stack,
+                        _weight_stack)
 from .pick_kernel import _kernel
 
 
@@ -101,23 +102,21 @@ def _defects(gamma):
     return G, np.diag(d), ident - gg / (1.0 + at), ident + gg / (at * (1.0 + at))
 
 
-def _mobius_weights(gamma, points):
-    """The (k, ne) weights of the images g_gamma(eta_i*).  With cw the
-    conjugated weights of a point, cw @ G is the vertex function eta* gamma,
-    and weight(e) is the conjugate of the image's entry at (r(e), e),
+def _mobius_weights(gamma, w):
+    """The weights of the images g_gamma(eta_i*) of the (k, ne) weight rows w.
+    With cw the conjugated weights of a point, cw @ G is the vertex function
+    eta* gamma, and weight(e) is the conjugate of the image's entry at (r(e), e),
 
         d[r(e)] ((G^H - eta*) D_gamma*^{-1})[r(e), e] / (1 - eta* gamma)[r(e)].
 
     The products run as stacked (1, ne) rows, so each point gets the bits
     of a one-point call."""
     g = gamma.graph
-    if any(p.graph != g for p in points):
-        raise GraphError("point and center live on different graphs")
     G, d_vertex, _, inv_d_edge = _defects(gamma)
     r, e = _edge_support(g)
-    cw = np.conj([p.weights for p in points]).reshape(len(points), 1, g.ne)
+    cw = np.conj(w).reshape(len(w), 1, g.ne)
     image = np.diag(d_vertex)[r] * ((G.conj().T[r, e] - cw) @ inv_d_edge) / (1.0 - cw @ G)[..., r]
-    return np.conj(image).reshape(len(points), g.ne)
+    return np.conj(image).reshape(len(w), g.ne)
 
 
 def mobius_matrix(gamma, point):
@@ -125,15 +124,15 @@ def mobius_matrix(gamma, point):
     scattered onto the entries (r(e), e), zero elsewhere."""
     g = gamma.graph
     M = np.zeros((g.nv, g.ne), dtype=complex)
-    M[_edge_support(g)] = np.conj(_mobius_weights(gamma, [point])[0])
+    M[_edge_support(g)] = np.conj(_mobius_weights(gamma, _weight_stack(g, [point]))[0])
     return M
 
 
 def mobius_apply(gamma, point):
     """g_gamma as a map of dual points; the image is on the closed ball when
     the point is at the boundary."""
-    return DualPoint(point.graph, _mobius_weights(gamma, [point])[0],
-                     allow_boundary=point.norm >= 1.0 - 1e-12)
+    w = _mobius_weights(gamma, _weight_stack(gamma.graph, [point]))[0]
+    return DualPoint(point.graph, w, allow_boundary=point.norm >= 1.0 - 1e-12)
 
 
 def mobius_colligation(gamma):
@@ -157,7 +156,6 @@ def mobius_congruence_matrix(gamma, points):
     with z'_i = g_gamma applied to z_i.  Completely positive for central
     gamma."""
     g = gamma.graph
-    moved = [DualPoint(g, w, allow_boundary=p.norm >= 1.0 - 1e-12)
-             for w, p in zip(_mobius_weights(gamma, points), points)]
-    theta = _theta_stack(g, moved, moved)
-    return _kernel(g, (np.eye(g.nv) - theta) @ _resolvent_stack(g, points, points))
+    w = _weight_stack(g, points)
+    moved = _mobius_weights(gamma, w)
+    return _kernel(g, (np.eye(g.nv) - _theta_stack(g, moved, moved)) @ _resolvent_stack(g, w, w))

@@ -7,8 +7,10 @@ R_ij = (id - theta_{eta_i, eta_j})^{-1}, the two kernels used here are
     pick:   a  |->  B_i R_ij(a) B_j^* - C_i R_ij(a) C_j^*
     schur:  a  |->  R_ij(a) - Z_i R_ij(a) Z_j^*
 
-where the targets B_i, C_i, Z_i are nv x nv matrices (vertex functions
-embed as diagonals) and R_ij(a) is embedded as a diagonal matrix.  The
+where the targets B_i, C_i, Z_i are nv x nv matrices and R_ij(a) is
+embedded as a diagonal matrix.  A list of k targets takes one form per
+call: k scalars (times I), k vertex functions (as diagonals) or k nv x nv
+matrices; a list that mixes forms raises ValueError.  The
 matrix of maps is completely positive iff a contractive X solves the
 left-tangential problem B_i X(eta_i*) = C_i (pick), resp. iff the Z_i
 are values of a Schur-class element at the eta_i.  B_i multiplies from
@@ -38,7 +40,7 @@ one stacked eigvalsh per group size replaces the eigvalsh of the whole
 block.  A block that does not split is handed over whole, as before.
 
 A CpMapMatrix is stored as exactly these blocks, one per vertex.  All
-kernels come from one builder: one batched solve gives every R_ij, and
+kernels come from one builder: one batched inverse gives every R_ij, and
 for each vertex u one stacked matmul (k GEMMs) writes every
 (L_i diag(R_ij delta_u)) L_j^* straight into Ch_u.  An entry can differ
 from the per-pair products by a few eps * max|R| (1 + sum of max|L|^2
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dual_eval import _resolvent_stack
+from .dual_eval import _resolvent_stack, _weight_stack
 
 
 class StructuralError(RuntimeError):
@@ -81,20 +83,19 @@ class CpMapMatrix:
         return self.choi[u]
 
 
-def _as_target_matrix(g, t):
-    """Coerce a target: scalar -> scalar*I, vertex vector -> diag, matrix as is."""
-    if np.isscalar(t):
-        return complex(t) * np.eye(g.nv, dtype=complex)
-    t = np.asarray(t, dtype=complex)
-    if t.shape == (g.nv,):
-        return np.diag(t)
-    if t.shape == (g.nv, g.nv):
-        return t
-    raise ValueError("target must be a scalar, a length-nv vector, or an nv x nv matrix")
-
-
 def _targets(g, targets):
-    return np.array([_as_target_matrix(g, t) for t in targets])
+    """The (k, nv, nv) stack of k targets given in one form: k scalars
+    (times I), k vertex functions (as diagonals) or k nv x nv matrices."""
+    t = np.asarray(targets, dtype=complex)
+    if t.ndim == 1:
+        return t[:, None, None] * np.eye(g.nv, dtype=complex)
+    if t.shape[1:] == (g.nv,):
+        out = np.zeros(t.shape + (g.nv,), dtype=complex)
+        out[:, np.arange(g.nv), np.arange(g.nv)] = t
+        return out
+    if t.shape[1:] == (g.nv, g.nv):
+        return t
+    raise ValueError("targets must be k scalars, k length-nv vectors or k nv x nv matrices")
 
 
 def _kernel(g, R, plus=None, minus=None):
@@ -132,27 +133,30 @@ def pick_map_matrix(points, B, C):
     """Kernel of the left-tangential interpolation problem B_i X(eta_i*) = C_i.
 
     Entry (i, j) is the map a |-> B_i R_ij(a) B_j^* - C_i R_ij(a) C_j^*.
+    B and C each take one target form: k scalars, k vertex functions or k
+    nv x nv matrices.
     """
     k = len(points)
     if len(B) != k or len(C) != k:
         raise ValueError("need one B and one C target per point")
     g = points[0].graph
-    plus, minus = _targets(g, B), _targets(g, C)
-    return _kernel(g, _resolvent_stack(g, points, points), plus, minus)
+    plus, minus, w = _targets(g, B), _targets(g, C), _weight_stack(g, points)
+    return _kernel(g, _resolvent_stack(g, w, w), plus, minus)
 
 
 def schur_kernel_matrix(points, values):
     """Kernel whose complete positivity characterizes the Schur class.
 
-    values[i] is the nv x nv value matrix Z_i attached to eta_i; entry
-    (i, j) is the map a |-> R_ij(a) - Z_i R_ij(a) Z_j^*.
+    values[i] is the value Z_i attached to eta_i; entry (i, j) is the map
+    a |-> R_ij(a) - Z_i R_ij(a) Z_j^*.  The values take one target form:
+    k scalars, k vertex functions or k nv x nv matrices.
     """
     k = len(points)
     if len(values) != k:
         raise ValueError("need one value matrix per point")
     g = points[0].graph
-    minus = _targets(g, values)
-    return _kernel(g, _resolvent_stack(g, points, points), minus=minus)
+    minus, w = _targets(g, values), _weight_stack(g, points)
+    return _kernel(g, _resolvent_stack(g, w, w), minus=minus)
 
 
 def _vertex_groups(P):

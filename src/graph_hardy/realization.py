@@ -49,6 +49,7 @@ from .graph_core import (
     _complex_to_json,
     _json_object,
 )
+from .dual_eval import _weight_stack
 from .fock import HardyPoly
 from .pick_kernel import schur_kernel_matrix, is_completely_positive
 
@@ -282,7 +283,7 @@ def _transfer_values(s, weights):
 
 def transfer_eval(s, point):
     """Z(eta*) = A + B (id - L* D)^{-1} L* C as an nv x nv matrix."""
-    return _transfer_values(s, point.weights[None])[0]
+    return _transfer_values(s, _weight_stack(s.graph, [point]))[0]
 
 
 def transfer_partial_sum(s, point, N):
@@ -294,7 +295,7 @@ def transfer_partial_sum(s, point, N):
     """
     if N < 0:
         raise ValueError("partial-sum degree N must be >= 0, got %d" % N)
-    LD, LC = (a[0] for a in _insertion_blocks(s, point.weights[None]))
+    LD, LC = (a[0] for a in _insertion_blocks(s, _weight_stack(s.graph, [point])))
     if N == 0:
         acc = np.zeros_like(LC)
     else:
@@ -538,7 +539,7 @@ def realize_from_samples(points, values, q1, q2, tol=1e-9):
         h = system._hcols[v].start
         U[:, :, h:h + m[v]] = phi[v].reshape(m[v], k, nv)[:, :, w2].transpose(1, 2, 0)
     Y[:, np.arange(len(w2)), np.arange(len(w2))] = 1.0  # the E2 slot of q2[j] is row j
-    weights = np.array([p.weights for p in points])  # (k, ne)
+    weights = _weight_stack(g, points)
     for e, w in zip(g.edges, weights.T):
         Y[:, :, system._fiber[e.name]] = w[:, None, None] * U[:, :, system._hcols[e.dst]]
 

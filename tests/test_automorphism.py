@@ -204,6 +204,17 @@ def test_pullback_of_the_identity_gauge_at_zero_negates_the_point_exactly():
                                       evaluate_poly(x, DualPoint(g, -p.weights)))
 
 
+def test_pullback_rejects_a_unitary_of_another_graph():
+    g = two_vertex_example()
+    x = HardyPoly(g, {"v": 0.3, ("e",): 1.0})
+    p = make_dual_point(g, {"g": 0.2})
+    same_ne = Graph(["v", "w"], [("e", "w", "v"), ("f", "v", "w"), ("g", "v", "v")])
+    for other in (same_ne, Graph(["u"], [("z", "u", "u")])):
+        for gamma in (None, make_central_point(g, {"g": 0.3})):
+            with pytest.raises(GraphError, match="different graphs"):
+                pullback_evaluate(gamma, identity_unitary(other), x, p)
+
+
 # ---------------------------------------------------------------------------
 # Mobius automorphisms: the two-vertex closed forms are the oracles
 

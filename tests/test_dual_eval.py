@@ -15,15 +15,21 @@ from graph_hardy import (
     HardyPoly,
     dual_norm,
     evaluate_poly,
+    make_central_point,
     make_dual_point,
+    mobius_congruence_matrix,
+    pick_feasibility,
     point_from_dict,
     point_to_dict,
     random_point,
     resolvent_matrix,
+    schur_class_check,
     theta_matrix,
     two_vertex_example,
     zero_point,
 )
+from graph_hardy.dual_eval import _resolvent_stack, _theta_stack, _weight_stack
+from conftest import random_graph
 
 
 @pytest.fixture
@@ -166,6 +172,57 @@ def test_graph_mismatch(g2):
         theta_matrix(p1, p2)
     with pytest.raises(GraphError):
         evaluate_poly(HardyPoly.one(other), p1)
+
+
+def test_weight_stack_rows_and_graph_check(g2):
+    rng = np.random.default_rng(3)
+    pts = [random_point(g2, rng) for _ in range(4)]
+    w = _weight_stack(g2, pts)
+    assert w.shape == (4, g2.ne)
+    np.testing.assert_array_equal(w, [p.weights for p in pts])
+    assert _weight_stack(g2, []).shape == (0, g2.ne)
+    # a graph with the same number of edges is still another graph
+    other = Graph(["v", "w"], [("e", "w", "v"), ("f", "v", "w"), ("g", "v", "v")])
+    with pytest.raises(GraphError, match="different graphs"):
+        _weight_stack(g2, pts + [make_dual_point(other, {"g": 0.5})])
+
+
+def test_resolvent_stack_is_bitwise_the_solve():
+    # the batched inverse runs the same LU as solve(id - theta, id)
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng)
+        w1 = _weight_stack(g, [random_point(g, rng, max_norm=0.95) for _ in range(5)])
+        w2 = _weight_stack(g, [random_point(g, rng, max_norm=0.95) for _ in range(3)])
+        eye = np.eye(g.nv, dtype=complex)
+        want = np.linalg.solve(eye - _theta_stack(g, w1, w2), eye)
+        assert _resolvent_stack(g, w1, w2).tobytes() == want.tobytes(), seed
+
+
+def test_singular_resolvent_is_a_boundary_error(g2):
+    # weight 1 on the loop g makes id - theta_{p, p} vanish at w, which
+    # raised numpy's LinAlgError from every kernel builder
+    p = DualPoint(g2, {"g": 1.0}, allow_boundary=True)
+    q = make_dual_point(g2, {"e": 0.3})
+    pair = r"singular at the point pair \(1, 1\)"
+    with pytest.raises(BoundaryError, match=pair):
+        schur_class_check([q, p], [np.zeros((2, 2))] * 2)
+    with pytest.raises(BoundaryError, match=pair):
+        pick_feasibility([q, p], [1.0, 1.0], [0.0, 0.0])
+    with pytest.raises(BoundaryError, match=pair):
+        mobius_congruence_matrix(make_central_point(g2, {"g": 0.3}), [q, p])
+    with pytest.raises(BoundaryError, match=r"pair \(0, 0\)"):
+        resolvent_matrix(p, p)
+
+
+def test_nilpotent_boundary_theta_gives_a_kernel(g2):
+    # weight 1 on the edge e alone: theta_{p, p} is nilpotent, so id - theta
+    # is invertible although the point is on the boundary
+    p = DualPoint(g2, {"e": 1.0}, allow_boundary=True)
+    q = make_dual_point(g2, {"g": 0.4})
+    np.testing.assert_array_equal(resolvent_matrix(p, p), np.eye(2) + theta_matrix(p, p))
+    rep = schur_class_check([p, q], [np.zeros((2, 2))] * 2)
+    assert rep["cp"] and len(rep["blocks"]) == 2
 
 
 def test_point_json_roundtrip(g2):

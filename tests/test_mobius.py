@@ -148,9 +148,10 @@ def test_congruence_kernel_is_bitwise_the_pointwise_one(seed):
     raw = {e: rng.standard_normal() + 1j * rng.standard_normal() for e in g.loops()}
     gamma = make_central_point(g, {e: w * 0.6 / dual_norm(g, raw) for e, w in raw.items()})
     pts = [random_point(g, rng, max_norm=0.8) for _ in range(7)]
-    moved = [mobius_apply(gamma, p) for p in pts]
+    w = np.array([p.weights for p in pts])
+    moved = np.array([mobius_apply(gamma, p).weights for p in pts])
     theta = _theta_stack(g, moved, moved)
-    want = _kernel(g, (np.eye(g.nv) - theta) @ _resolvent_stack(g, pts, pts))
+    want = _kernel(g, (np.eye(g.nv) - theta) @ _resolvent_stack(g, w, w))
     np.testing.assert_array_equal(mobius_congruence_matrix(gamma, pts).choi, want.choi)
 
 

@@ -34,6 +34,7 @@ from graph_hardy import (
     two_vertex_example,
     zero_point,
 )
+from graph_hardy.pick_kernel import _targets
 
 
 def loop_graph():
@@ -302,6 +303,51 @@ def test_targets_coerce_scalar_vector_matrix():
     m1 = pick_map_matrix(pts, [1.0], [np.array([0.1, 0.2])])
     m2 = pick_map_matrix(pts, [np.eye(2)], [np.diag([0.1, 0.2])])
     np.testing.assert_allclose(m1.choi, m2.choi, atol=1e-15)
+
+
+def per_item_target(nv, t):
+    """The per-target coercion the stacked one replaced, kept as its oracle:
+    scalar -> scalar * I, vertex vector -> diag, matrix as is."""
+    if np.isscalar(t):
+        return complex(t) * np.eye(nv, dtype=complex)
+    t = np.asarray(t, dtype=complex)
+    if t.shape == (nv,):
+        return np.diag(t)
+    return t
+
+
+@pytest.mark.parametrize("nv", [1, 2, 3])
+def test_targets_match_the_per_item_coercion_bitwise(nv):
+    g = Graph(["v%d" % i for i in range(nv)], [("a", "v0", "v0")])
+    rng = np.random.default_rng(nv)
+    zeros = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)]
+    scalars = zeros + [-1.5, -2.0 + 0.5j, -0.25 - 0.0j, 3 - 1j, -4, np.float64(-0.75),
+                       complex(-1.0, -0.0), complex(-0.0, 2.0)]
+    signs = np.array([1.0, -1.0])
+    vectors = [np.array([rng.choice(zeros) for _ in range(nv)], dtype=complex),
+               rng.choice(signs, nv) * rng.standard_normal(nv) + 1j * rng.standard_normal(nv),
+               -rng.random(nv)]
+    matrices = [rng.standard_normal((nv, nv)) - 1j * rng.standard_normal((nv, nv)),
+                -np.eye(nv), np.full((nv, nv), complex(-0.0, -0.0))]
+    for targets in (scalars, vectors, matrices, scalars[:1], [v.tolist() for v in vectors]):
+        want = np.array([per_item_target(nv, t) for t in targets])
+        got = _targets(g, targets)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_mixed_target_forms_raise_value_error():
+    g = two_vertex_example()
+    pts = [make_dual_point(g, {"g": 0.2}), make_dual_point(g, {"e": 0.1})]
+    for mixed in ([1.0, np.eye(2)], [0.5, np.array([0.1, 0.2])],
+                  [np.array([0.1, 0.2]), np.eye(2)]):
+        with pytest.raises(ValueError):
+            pick_map_matrix(pts, mixed, [0.0, 0.0])
+        with pytest.raises(ValueError):
+            schur_kernel_matrix(pts, mixed)
+    for shape in [(2, 3), (2, 2, 3), (2, 2, 2, 2)]:
+        with pytest.raises(ValueError, match="targets must be"):
+            schur_kernel_matrix(pts, np.zeros(shape))
 
 
 @pytest.mark.parametrize("scale", [1.0, 100.0])

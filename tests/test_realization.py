@@ -338,6 +338,22 @@ def test_series_residual_tail():
     assert series_residual(s, p, 20) <= p.norm ** 21 / (1.0 - p.norm) + 1e-12
 
 
+def test_transfer_rejects_a_point_of_another_graph():
+    rng = np.random.default_rng(13)
+    g = two_vertex_example()
+    s = random_system(g, rng)
+    # the same number of edges on another graph used to evaluate silently,
+    # another number raised IndexError
+    same_ne = Graph(["v", "w"], [("e", "w", "v"), ("f", "v", "w"), ("g", "v", "v")])
+    for p in (make_dual_point(same_ne, {"g": 0.5}), make_dual_point(loop_graph(), {"z": 0.5})):
+        with pytest.raises(GraphError, match="different graphs"):
+            transfer_eval(s, p)
+        with pytest.raises(GraphError, match="different graphs"):
+            transfer_partial_sum(s, p, 5)
+        with pytest.raises(GraphError, match="different graphs"):
+            series_residual(s, p, 5)
+
+
 def test_feasible_multiplicities_branching_loop_collapses():
     g = two_vertex_example()
     q2, m = feasible_multiplicities(g, ("v", "w"), ("v", "w"), {"v": 3, "w": 3})
