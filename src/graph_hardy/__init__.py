@@ -15,8 +15,6 @@ from .graph_core import (
     compose,
     fullness_flags,
     graph_to_dict,
-    inner_product,
-    act,
     is_path,
     path_basis,
     path_range,
@@ -30,7 +28,6 @@ from .fock import (
     cuntz_toeplitz_check,
     fock_basis,
     fock_norm_bound,
-    fourier_coeff,
     hardy_mul,
     poly_from_terms,
     poly_to_terms,

@@ -53,7 +53,7 @@ class BimoduleUnitary:
                 raise GraphError("block %r must be %d x %d" % (key, d, d))
             dev = float(np.abs(mat @ mat.conj().T - np.eye(d)).max(initial=0.0))
             dev = max(dev, float(np.abs(mat.conj().T @ mat - np.eye(d)).max(initial=0.0)))
-            if dev > 1e-12:
+            if not dev <= 1e-12:  # written so that NaN fails too
                 raise GraphError("block %r is not unitary (deviation %.3e)" % (key, dev))
             got[key] = (tuple(edges), mat)
         missing = set(classes) - set(got)

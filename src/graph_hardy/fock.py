@@ -13,11 +13,12 @@ S_e* S_e = P_{s(e)}, and for each vertex the row sum
 sum_{r(e) = v} S_e S_e* is dominated by P_v.
 
 A HardyPoly is a finitely supported coefficient map on paths; it acts on
-the Fock space by concatenation (hardy_mul, which also computes the gauge
-automorphism alpha_u as a product of edge images), which is how all norms
-and relations here are computed.  Truncating the basis at path length N
-compresses the operators to a finite block; the compression kills the
-top degree, so relation checks are asserted on paths of length <= N - 1.
+the Fock space by concatenation.  Products go through hardy_mul (as does
+the gauge automorphism alpha_u, a product of edge images); all norms and
+relations go through creation_matrix's index gathers.  Truncating the
+basis at path length N compresses the operators to a finite block; the
+compression kills the top degree, so relation checks are asserted on
+paths of length <= N - 1.
 
 The path basis (Muhly and Solel, Math. Ann. 2004) is handled as integers:
 each call builds a graph_core._PathIndex, whose child tables give the
@@ -102,9 +103,6 @@ class HardyPoly:
         return cls(graph, {edges: 1.0})
 
     # algebra --------------------------------------------------------------
-    def degree(self):
-        return max((len(_path_edges(p)) for p in self.coeffs), default=0)
-
     def __add__(self, other):
         if other.graph != self.graph:
             raise GraphError("polynomials live on different graphs")
@@ -129,9 +127,6 @@ class HardyPoly:
     def coeff(self, path):
         return self.coeffs.get(path, 0j)
 
-    def max_coeff(self):
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
     def __repr__(self):
         terms = sorted(self.coeffs.items(), key=lambda kv: (len(_path_edges(kv[0])), str(kv[0])))
         return "HardyPoly(%s)" % ", ".join("%r: %.4g%+.4gj" % (p, c.real, c.imag) for p, c in terms)
@@ -148,11 +143,6 @@ def hardy_mul(x, y):
             if pq is not None:
                 out[pq] = out.get(pq, 0j) + cp * cq
     return HardyPoly._of_paths(x.graph, out)
-
-
-def fourier_coeff(x, k):
-    """The degree-k homogeneous part of x (k = 0 keeps the vertex terms)."""
-    return HardyPoly._of_paths(x.graph, {p: c for p, c in x.coeffs.items() if len(_path_edges(p)) == k})
 
 
 # ---------------------------------------------------------------------------

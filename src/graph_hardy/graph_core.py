@@ -282,16 +282,6 @@ def _complex_from_json(val, ndim=0):
 # ---------------------------------------------------------------------------
 # bimodule operations
 
-def as_vertex_function(g, a):
-    """Coerce a to a length-nv complex vector (scalar broadcasts)."""
-    if np.isscalar(a):
-        return np.full(g.nv, complex(a))
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (g.nv,):
-        raise ValueError("expected a vertex function of length %d" % g.nv)
-    return a
-
-
 def as_edge_function(g, f):
     if isinstance(f, dict):
         out = np.zeros(g.ne, dtype=complex)
@@ -304,30 +294,6 @@ def as_edge_function(g, f):
     if f.shape != (g.ne,):
         raise ValueError("expected an edge function of length %d" % g.ne)
     return f
-
-
-def act(g, a, f, b):
-    """Two-sided action (a . f . b)(e) = a(r(e)) f(e) b(s(e))."""
-    a = as_vertex_function(g, a)
-    b = as_vertex_function(g, b)
-    f = as_edge_function(g, f)
-    out = f.copy()
-    for i, e in enumerate(g.edges):
-        out[i] = a[g.vindex[e.dst]] * f[i] * b[g.vindex[e.src]]
-    return out
-
-
-def inner_product(g, f1, f2):
-    """M-valued pairing <f1, f2>(v) = sum_{s(e) = v} conj(f1(e)) f2(e).
-
-    Conjugate linear in the first slot, so <f, f.b> = <f, f> b.
-    """
-    f1 = as_edge_function(g, f1)
-    f2 = as_edge_function(g, f2)
-    out = np.zeros(g.nv, dtype=complex)
-    for i, e in enumerate(g.edges):
-        out[g.vindex[e.src]] += np.conj(f1[i]) * f2[i]
-    return out
 
 
 def fullness_flags(g):

@@ -155,6 +155,8 @@ def mobius_congruence_matrix(gamma, points):
     entry (i, j) is a |-> (id - theta_{z'_i, z'_j}) (id - theta_{z_i, z_j})^{-1}(a)
     with z'_i = g_gamma applied to z_i.  Completely positive for central
     gamma."""
+    if not points:
+        raise ValueError("need at least one point")
     g = gamma.graph
     w = _weight_stack(g, points)
     moved = _mobius_weights(gamma, w)

@@ -137,6 +137,8 @@ def pick_map_matrix(points, B, C):
     nv x nv matrices.
     """
     k = len(points)
+    if not k:
+        raise ValueError("need at least one point")
     if len(B) != k or len(C) != k:
         raise ValueError("need one B and one C target per point")
     g = points[0].graph
@@ -152,6 +154,8 @@ def schur_kernel_matrix(points, values):
     k scalars, k vertex functions or k nv x nv matrices.
     """
     k = len(points)
+    if not k:
+        raise ValueError("need at least one point")
     if len(values) != k:
         raise ValueError("need one value matrix per point")
     g = points[0].graph
@@ -216,10 +220,10 @@ def _exact_split(ch, nv):
 def is_completely_positive(m, tol=1e-9):
     """CP test by per-vertex Choi blocks, each split along its exact zeros.
 
-    Each block must be Hermitian up to 1e-12 * (1 + its largest entry)
-    (violation raises StructuralError) and its minimum eigenvalue
-    must be >= -tol * (1 + spectral norm of the block).  The block's
-    eigenvalues are those of the diagonal blocks of its exact
+    Each block must be finite (else ValueError) and Hermitian up to
+    1e-12 * (1 + its largest entry) (else StructuralError), and its
+    minimum eigenvalue must be >= -tol * (1 + spectral norm of the block).
+    The block's eigenvalues are those of the diagonal blocks of its exact
     block-diagonal form (see _exact_split), plus one 0 for each dropped
     zero row; the largest entry and the Hermitian deviation are the same
     as over the whole block, and the eigenvalues move at rounding level
@@ -236,7 +240,10 @@ def is_completely_positive(m, tol=1e-9):
         lo, hi = (0.0, 0.0) if dropped or not stacks else (np.inf, -np.inf)
         for x in stacks:
             h = x.conj().swapaxes(1, 2)
-            scale = max(scale, float(np.abs(x).max()))
+            top = float(np.abs(x).max())
+            if not np.isfinite(top):  # eigvalsh would not converge
+                raise ValueError("Choi block of vertex %r has a non-finite entry" % (v,))
+            scale = max(scale, top)
             herm_dev = max(herm_dev, float(np.abs(x - h).max()))
             eigs = np.linalg.eigvalsh(0.5 * (x + h))
             lo = min(lo, *eigs[:, 0].tolist())

@@ -83,10 +83,20 @@ def _as_block(x, shape):
     return m
 
 
+def _multiplicity(v, x):
+    """x as the multiplicity m_v; GraphError unless x is a nonnegative int
+    or numpy integer (bool is not taken for one)."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise GraphError("multiplicity of %r must be an integer, not %r" % (v, x))
+    if x < 0:
+        raise GraphError("multiplicities must be nonnegative")
+    return int(x)
+
+
 class SystemMatrix:
     """Vertex-graded colligation with scalar input/output fibers.
 
-    multiplicities: dict vertex -> m_v >= 0
+    multiplicities: dict vertex -> integer m_v >= 0
     q1, q2: input/output vertex subsets
     A: dict v -> complex, for v in q1 and q2
     B: dict v -> (1, m_v) array, for v in q2
@@ -104,9 +114,7 @@ class SystemMatrix:
         for v in multiplicities:
             if v not in g.vindex:
                 raise GraphError("multiplicity for unknown vertex %r" % (v,))
-        self.m = {v: int(multiplicities.get(v, 0)) for v in g.vertices}
-        if any(mv < 0 for mv in self.m.values()):
-            raise GraphError("multiplicities must be nonnegative")
+        self.m = {v: _multiplicity(v, multiplicities.get(v, 0)) for v in g.vertices}
         self.q1 = _vertex_subset(g, q1)
         self.q2 = _vertex_subset(g, q2)
 
@@ -490,7 +498,9 @@ def realize_from_samples(points, values, q1, q2, tol=1e-9):
     specific Schur-class interpolant.
     """
     k = len(points)
-    if k == 0 or len(values) != k:
+    if not k:
+        raise ValueError("need at least one point")
+    if len(values) != k:
         raise ValueError("need one value matrix per point")
     g = points[0].graph
     nv = g.nv
@@ -611,7 +621,7 @@ def system_to_dict(s):
 def system_from_dict(g, data):
     mult = _json_object(data, "multiplicities", "system")
     try:
-        m = {v: int(x) for v, x in mult.items()}
+        m = {v: _multiplicity(v, x) for v, x in mult.items()}
         q1 = list(data["q1"])
         q2 = list(data["q2"])
     except (KeyError, TypeError) as exc:

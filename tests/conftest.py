@@ -45,6 +45,11 @@ def corpus_samples(seed, k):
     return g, pts, [evaluate_poly(x, p) for p in pts]
 
 
+def max_coeff(x):
+    """Largest coefficient modulus of the HardyPoly x (0.0 for zero)."""
+    return max((abs(c) for c in x.coeffs.values()), default=0.0)
+
+
 def adjacency(g):
     """A[i, j] = number of edges from vertex j to vertex i."""
     A = np.zeros((g.nv, g.nv), dtype=np.int64)

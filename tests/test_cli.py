@@ -235,6 +235,14 @@ def test_pick_rejects_boundary_point(capsys, tmp_path, loop_file):
     assert code == 2 and "input error" in err
 
 
+@pytest.mark.parametrize("command, payload", [("pick", {"points": [], "C": []}),
+                                              ("schur-check", {"points": [], "values": []})])
+def test_empty_point_list_is_input_error(capsys, tmp_path, loop_file, command, payload):
+    f = write_json(tmp_path / "empty.json", payload)
+    code, rep, err = run_cli(capsys, [command, "--graph", loop_file, "--points", f])
+    assert code == 2 and rep is None and err == "input error: need at least one point\n"
+
+
 def test_schur_check(capsys, tmp_path, loop_file):
     pts = [{"weights": {"z": [0.4, 0.0]}}, {"weights": {"z": [-0.1, 0.3]}}]
     ok = write_json(tmp_path / "ok.json",
@@ -263,6 +271,21 @@ def test_transfer(capsys, tmp_path, loop_file):
     expected = transfer_eval(s, pt)[0, 0]
     assert abs(got - expected) < 1e-13
     assert rep["series_residual"] <= rep["tail_bound"] + 1e-12
+
+
+@pytest.mark.parametrize("m", [1.5, "1", True])
+def test_transfer_non_integer_multiplicity_is_input_error(capsys, tmp_path, loop_file, m):
+    # int() ran the system at m_u = 1 and reported the verdict of that system
+    g = Graph(["u"], [("z", "u", "u")])
+    data = system_to_dict(SystemMatrix(g, {"u": 1}, ("u",), ("u",), A={"u": 0.6},
+                                       B={"u": [[0.8]]}, C={"z": [[0.8]]}, D={"z": [[-0.6]]}))
+    data["multiplicities"]["u"] = m
+    sysf = write_json(tmp_path / "sys.json", data)
+    ptf = write_json(tmp_path / "pt.json", point_to_dict(make_dual_point(g, {"z": 0.3})))
+    code, rep, err = run_cli(capsys, ["transfer", "--graph", loop_file,
+                                      "--system", sysf, "--point", ptf])
+    assert code == 2 and rep is None
+    assert err.startswith("input error: multiplicity of 'u' must be an integer")
 
 
 def test_realize_roundtrip(capsys, tmp_path, loop_file):

@@ -4,19 +4,15 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import graph_hardy
 from graph_hardy import (
     Graph,
     GraphError,
-    act,
     build_graph,
     compose,
     fullness_flags,
     graph_to_dict,
-    inner_product,
     is_path,
     path_basis,
     path_range,
@@ -24,7 +20,7 @@ from graph_hardy import (
     two_vertex_example,
 )
 from graph_hardy import realization
-from graph_hardy.graph_core import _complex_from_json, as_edge_function, as_vertex_function
+from graph_hardy.graph_core import _complex_from_json, as_edge_function
 from conftest import adjacency, random_graph
 
 
@@ -126,57 +122,6 @@ def test_is_path(g2):
     assert not is_path(g2, ("q",))
 
 
-def test_inner_product_frozen(g2):
-    f1 = np.array([1.0, 2.0j, 3.0])
-    np.testing.assert_allclose(inner_product(g2, f1, f1), [1.0, 13.0], atol=1e-15)
-    f2 = np.array([1.0j, 1.0, -2.0])
-    np.testing.assert_allclose(
-        inner_product(g2, f1, f2), [1.0j, -6.0 - 2.0j], atol=1e-15)
-
-
-def test_act_frozen(g2):
-    out = act(g2, [2.0, 3.0], [1.0, 1.0, 1.0], [5.0, 7.0])
-    np.testing.assert_allclose(out, [15.0, 14.0, 21.0], atol=1e-15)
-    # scalars broadcast
-    np.testing.assert_allclose(act(g2, 2.0, [1, 1, 1], 1.0),
-                               [2.0, 2.0, 2.0], atol=1e-15)
-
-
-@given(st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3))
-def test_inner_product_right_linear(b1r, b1i, b2r, b2i):
-    g = two_vertex_example()
-    f1 = np.array([1.0 + 0.5j, -2.0, 0.3j])
-    f2 = np.array([0.7, 1.0j, 2.0 - 1.0j])
-    b = np.array([complex(b1r, b1i), complex(b2r, b2i)])
-    lhs = inner_product(g, f1, act(g, 1.0, f2, b))
-    rhs = inner_product(g, f1, f2) * b
-    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-@given(st.floats(-3, 3), st.floats(-3, 3))
-def test_inner_product_conjugate_left(ar, ai):
-    g = two_vertex_example()
-    a = complex(ar, ai)
-    f1 = np.array([1.0, 2.0j, -0.5])
-    f2 = np.array([0.3, -1.0, 1.0j])
-    lhs = inner_product(g, a * f1, f2)
-    rhs = np.conj(a) * inner_product(g, f1, f2)
-    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-def test_act_respects_edge_endpoints():
-    rng = np.random.default_rng(11)
-    for _ in range(6):
-        g = random_graph(rng)
-        a = rng.standard_normal(g.nv) + 1j * rng.standard_normal(g.nv)
-        b = rng.standard_normal(g.nv) + 1j * rng.standard_normal(g.nv)
-        f = rng.standard_normal(g.ne) + 1j * rng.standard_normal(g.ne)
-        out = act(g, a, f, b)
-        for i, e in enumerate(g.edges):
-            expected = a[g.vindex[e.dst]] * f[i] * b[g.vindex[e.src]]
-            assert abs(out[i] - expected) < 1e-14
-
-
 def test_json_roundtrip(g2):
     d = graph_to_dict(g2)
     assert build_graph(d) == g2
@@ -203,8 +148,6 @@ def test_complex_from_json_rejects_non_finite(val, ndim):
 
 
 def test_vertex_and_edge_function_guards(g2):
-    with pytest.raises(ValueError, match="length 2"):
-        as_vertex_function(g2, [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="length 3"):
         as_edge_function(g2, [1.0, 2.0])
     with pytest.raises(GraphError, match="unknown edge 'x'"):

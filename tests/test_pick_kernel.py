@@ -297,6 +297,32 @@ def test_input_validation():
         schur_kernel_matrix(mixed, [np.zeros((2, 2)), np.zeros((2, 2))])
 
 
+def test_empty_point_lists_raise_value_error():
+    # pick and Schur raised a bare IndexError from points[0]; the
+    # congruence kernel came back with k = 0
+    gamma = make_central_point(two_vertex_example(), {"g": 0.3})
+    calls = [lambda: pick_map_matrix([], [], []), lambda: pick_feasibility([], [], []),
+             lambda: schur_kernel_matrix([], []), lambda: schur_class_check([], []),
+             lambda: mobius_congruence_matrix(gamma, [])]
+    for call in calls:
+        with pytest.raises(ValueError, match="^need at least one point$"):
+            call()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), complex(0.0, float("nan")), float("inf")])
+def test_non_finite_targets_raise_value_error(bad):
+    # eigvalsh of a Choi block with a NaN entry raised LinAlgError
+    g = two_vertex_example()
+    pts = [make_dual_point(g, {"g": 0.3}), make_dual_point(g, {"e": 0.2j})]
+    values = [np.zeros((2, 2)), np.array([[0.0, 0.0], [bad, 0.0]])]
+    match = r"^Choi block of vertex '[vw]' has a non-finite entry$"
+    with np.errstate(invalid="ignore"):  # inf times 0 in the kernel build
+        with pytest.raises(ValueError, match=match):
+            schur_class_check(pts, values)
+        with pytest.raises(ValueError, match=match):
+            pick_feasibility(pts, [1.0, 1.0], values)
+
+
 def test_targets_coerce_scalar_vector_matrix():
     g = two_vertex_example()
     pts = [make_dual_point(g, {"g": 0.2})]

@@ -147,6 +147,23 @@ def test_block_support_validation():
         SystemMatrix(g, {"v": 1}, ("v",), ("v",), D={"x": [[1.0]]})
 
 
+@pytest.mark.parametrize("m", [1.5, 2.9, 1.0, "2", True, None])
+def test_non_integer_multiplicity_is_rejected(m):
+    # int() truncated 1.5 to 1, 2.9 to 2, "2" to 2 and True to 1
+    g = two_vertex_example()
+    with pytest.raises(GraphError, match="multiplicity of 'v' must be an integer"):
+        SystemMatrix(g, {"v": m}, ("v",), ("v",))
+    data = system_to_dict(SystemMatrix(g, {"v": 1}, ("v",), ("v",)))
+    data["multiplicities"]["v"] = m
+    with pytest.raises(GraphError, match="multiplicity of 'v' must be an integer"):
+        system_from_dict(g, data)
+
+
+def test_numpy_integer_multiplicities_are_taken():
+    s = SystemMatrix(two_vertex_example(), {"v": np.int64(2), "w": np.uint8(1)}, ("v",), ("v",))
+    assert s.m == {"v": 2, "w": 1} and all(type(m) is int for m in s.m.values())
+
+
 def test_classical_transfer_closed_form():
     s = classical_system()
     g = s.graph
@@ -584,6 +601,18 @@ def test_realize_rejects_mismatched_values():
         realize_from_samples(pts, [np.zeros((2, 2))], ["v", "w"], ["w"])
     with pytest.raises(GraphError, match="must be 2 x 2 matrices"):
         realize_from_samples(pts, [np.zeros((2, 3))] * 2, ["v", "w"], ["w"])
+
+
+def test_realize_rejects_empty_and_non_finite_samples():
+    # no points said "need one value matrix per point"; a NaN value let
+    # numpy's LinAlgError out of the CP check
+    g = two_vertex_example()
+    with pytest.raises(ValueError, match="^need at least one point$"):
+        realize_from_samples([], [], ["v", "w"], ["w"])
+    pts = [make_dual_point(g, {"g": c}) for c in (0.3, -0.4j)]
+    vals = [np.zeros((2, 2)), np.array([[0.0, 0.0], [np.nan, 0.0]])]
+    with pytest.raises(ValueError, match="non-finite entry"):
+        realize_from_samples(pts, vals, ["v", "w"], ["v", "w"])
 
 
 def test_realize_rejects_off_support_values():
